@@ -2,10 +2,11 @@
 
 Each backend adapts one existing scheduler/server to the uniform
 :class:`~repro.backends.base.SchedulerBackend` protocol.  The heterogeneous
-legacy entry points — ``run_daris_scenario``, ``RtgpuScheduler.run_taskset``,
-``ClockworkServer.run_taskset``, ``GSliceServer.run_saturated``,
-``BatchingServer.run_saturated`` / ``run_with_arrivals``,
-``SingleTenantExecutor.run`` — all normalize to *(request in, result out)*,
+entry points — ``run_daris_scenario``, ``RtgpuScheduler.run_taskset``,
+``ClusterServer.serve`` (one GPU, for ``clockwork``),
+``GSliceServer.run_saturated``, ``BatchingServer.run_saturated`` /
+``run_with_arrivals``, ``SingleTenantExecutor.run`` — all normalize to
+*(request in, result out)*,
 so every system gets caching, seed replication, CI aggregation and sharded
 sweeps from the experiment engine for free.
 
@@ -18,6 +19,7 @@ same contract trivially.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import ClassVar, Tuple, Type
 
 from repro.backends.base import BackendRequestError, SchedulerBackend
@@ -29,10 +31,11 @@ from repro.backends.configs import (
 )
 from repro.backends.registry import register_backend
 from repro.baselines.batching_server import BatchingServer
-from repro.baselines.clockwork import ClockworkServer
 from repro.baselines.gslice import GSliceServer
 from repro.baselines.rtgpu import RtgpuScheduler
 from repro.baselines.single import SingleTenantExecutor
+from repro.cluster.config import ClusterConfig
+from repro.cluster.server import ClusterServer
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult, run_daris_scenario
 from repro.rt.metrics import ScenarioMetrics
@@ -46,6 +49,16 @@ def _result(request: ScenarioRequest, metrics: ScenarioMetrics) -> ScenarioResul
     """Uniform result assembly: explicit label, else the config's own."""
     label = request.label if request.label is not None else request.config.label()
     return ScenarioResult(label=label, config=request.config, metrics=metrics)
+
+
+def _check_warmup(backend: SchedulerBackend, request: ScenarioRequest) -> None:
+    """DARIS metrics exclude the warm-up, so the horizon must outlast it."""
+    warmup_ms = request.config.warmup_ms
+    if request.horizon_ms <= warmup_ms:
+        raise BackendRequestError(
+            f"the {backend.name!r} backend excludes a {warmup_ms:g} ms warm-up"
+            f" from its metrics; horizon_ms={request.horizon_ms:g} must exceed it"
+        )
 
 
 def _min_relative_deadline_ms(taskset: TaskSetSpec) -> float:
@@ -67,6 +80,10 @@ class DarisBackend(SchedulerBackend):
     resilience: ClassVar[ResiliencePolicy] = ResiliencePolicy(
         max_launch_retries=3, retry_backoff=1.5, shed_when_degraded=True
     )
+
+    def validate_request(self, request: ScenarioRequest) -> None:
+        super().validate_request(request)
+        _check_warmup(self, request)
 
     def run(self, request: ScenarioRequest) -> ScenarioResult:
         return run_daris_scenario(
@@ -94,6 +111,10 @@ class RtgpuBackend(SchedulerBackend):
     # Retries launches like DARIS but — lacking priorities — never sheds.
     resilience: ClassVar[ResiliencePolicy] = ResiliencePolicy(max_launch_retries=3)
 
+    def validate_request(self, request: ScenarioRequest) -> None:
+        super().validate_request(request)
+        _check_warmup(self, request)
+
     def run(self, request: ScenarioRequest) -> ScenarioResult:
         scheduler = RtgpuScheduler(
             request.config, gpu=request.gpu, calibration=request.calibration
@@ -110,7 +131,17 @@ class RtgpuBackend(SchedulerBackend):
 
 
 class ClockworkBackend(SchedulerBackend):
-    """Clockwork-like predictable serving: one DNN at a time, drop-if-late."""
+    """Clockwork-like predictable serving: one DNN at a time, drop-if-late.
+
+    Clockwork (Gujarati et al., OSDI 2020) achieves predictable latency by
+    executing exactly one DNN at a time, relying on the resulting
+    deterministic execution times to decide up front whether a request can
+    meet its deadline; requests that cannot are dropped.  The DARIS paper
+    cites it as the design point that trades throughput for
+    predictability.  The backend runs the cluster's per-GPU EDF worker on a
+    single GPU (:class:`~repro.cluster.server.ClusterServer` with
+    ``num_gpus=1``), so there is one serving loop for both backends.
+    """
 
     name: ClassVar[str] = "clockwork"
     title: ClassVar[str] = "Clockwork-like: one DNN at a time, EDF, admission by predicted latency"
@@ -124,20 +155,28 @@ class ClockworkBackend(SchedulerBackend):
     )
 
     def run(self, request: ScenarioRequest) -> ScenarioResult:
-        server = ClockworkServer(
+        server = ClusterServer(
+            ClusterConfig(num_gpus=1),
             gpu=request.gpu,
             calibration=request.calibration,
             admission_slack=request.config.admission_slack,
         )
-        outcome = server.run_taskset(
+        metrics = server.serve(
             request.taskset,
             request.horizon_ms,
             workload=request.workload,
             rng=RngFactory(request.seed),
-            faults=request.faults,
+            # One GPU: a spec targeted at any device applies to it, where a
+            # 1-GPU cluster would drop a spec targeted past device 0.
+            faults=request.faults.targeting(None),
             resilience=self.resilience,
         )
-        return _result(request, outcome.metrics)
+        # A single-device result carries no per-GPU telemetry and reports
+        # no utilization, as a non-cluster backend.
+        metrics = dataclasses.replace(
+            metrics, gpu_breakdown=None, average_gpu_utilization=0.0
+        )
+        return _result(request, metrics)
 
 
 class SingleBackend(SchedulerBackend):

@@ -7,14 +7,15 @@
 * :mod:`repro.baselines.gslice` — a GSlice-like inference server: static
   spatial partitions (no oversubscription), batching inside each partition,
   no task priorities (Section VI-B comparison).
-* :mod:`repro.baselines.clockwork` — a Clockwork-like predictable server:
-  one DNN at a time, EDF, jobs that cannot finish before their deadline are
-  dropped up front.
 * :mod:`repro.baselines.rtgpu` — an RTGPU-like real-time scheduler: EDF with
   admission but without task prioritization.
+
+The Clockwork-like baseline (one DNN at a time, EDF, drop-if-late) is the
+``clockwork`` backend, which runs :class:`repro.cluster.ClusterServer` on
+one GPU.
 """
 
-from repro.baselines.results import JpsResult, LegacyMappingResult, single_class_metrics
+from repro.baselines.results import JpsResult, single_class_metrics
 from repro.baselines.single import SingleTenantExecutor
 from repro.baselines.batching_server import (
     BatchingArrivalResult,
@@ -22,18 +23,14 @@ from repro.baselines.batching_server import (
     saturated_batching_jps,
 )
 from repro.baselines.gslice import GSliceResult, GSliceServer
-from repro.baselines.clockwork import ClockworkResult, ClockworkServer
 from repro.baselines.rtgpu import RtgpuScheduler
 
 __all__ = [
     "BatchingArrivalResult",
     "BatchingServer",
-    "ClockworkResult",
-    "ClockworkServer",
     "GSliceResult",
     "GSliceServer",
     "JpsResult",
-    "LegacyMappingResult",
     "RtgpuScheduler",
     "SingleTenantExecutor",
     "saturated_batching_jps",

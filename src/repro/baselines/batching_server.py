@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.baselines.results import JpsResult, LegacyMappingResult, single_class_metrics
+from repro.baselines.results import JpsResult, single_class_metrics
 from repro.dnn.batching import batched_stage_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -49,14 +49,8 @@ def saturated_batching_jps(
 
 
 @dataclass(frozen=True)
-class BatchingArrivalResult(LegacyMappingResult):
-    """Typed summary of a rate-driven batching run.
-
-    Replaces the raw ``dict`` :meth:`BatchingServer.run_with_arrivals` used
-    to return; the historical keys (``throughput_jps`` /
-    ``deadline_miss_rate`` / ``completed``) remain readable through the
-    deprecated mapping shim.
-    """
+class BatchingArrivalResult:
+    """Typed summary of a rate-driven batching run."""
 
     metrics: ScenarioMetrics
     released: int
@@ -75,13 +69,6 @@ class BatchingArrivalResult(LegacyMappingResult):
     def completed(self) -> int:
         """Requests that completed within the horizon."""
         return self.metrics.total_completed
-
-    def legacy_mapping(self) -> Dict[str, object]:
-        return {
-            "throughput_jps": self.throughput_jps,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "completed": self.completed,
-        }
 
 
 class BatchingServer:

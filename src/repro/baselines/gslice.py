@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.baselines.results import LegacyMappingResult, single_class_metrics
+from repro.baselines.results import single_class_metrics
 from repro.dnn.batching import batched_stage_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -31,13 +31,8 @@ from repro.sim.simulator import Simulator
 
 
 @dataclass(frozen=True)
-class GSliceResult(LegacyMappingResult):
-    """Typed summary of a saturated GSlice run.
-
-    Replaces the raw per-model ``dict`` (with its magic ``"total"`` key)
-    :meth:`GSliceServer.run_saturated` used to return; the historical keys
-    stay readable through the deprecated mapping shim.
-    """
+class GSliceResult:
+    """Typed summary of a saturated GSlice run: metrics plus per-model JPS."""
 
     metrics: ScenarioMetrics
     per_model_jps: Mapping[str, float]
@@ -46,9 +41,6 @@ class GSliceResult(LegacyMappingResult):
     def total_jps(self) -> float:
         """Throughput summed over every partition."""
         return self.metrics.total_jps
-
-    def legacy_mapping(self) -> Dict[str, object]:
-        return {**dict(self.per_model_jps), "total": self.total_jps}
 
 
 class GSliceServer:

@@ -1,88 +1,19 @@
-"""Typed results for the baseline executors, with legacy-shape shims.
+"""Typed results for the baseline executors.
 
-Historically each baseline returned its own ad-hoc shape — a raw ``dict``
-from :meth:`ClockworkServer.run_taskset` / :meth:`GSliceServer.run_saturated`
-/ :meth:`BatchingServer.run_with_arrivals`, a bare ``float`` from
-:meth:`SingleTenantExecutor.run` — which made them second-class citizens of
-the experiment engine (no uniform metrics, nothing to cache).  Every baseline
-now returns a typed result carrying a full
-:class:`~repro.rt.metrics.ScenarioMetrics`, and this module provides the two
-compatibility shims that keep the old shapes working for one deprecation
-cycle:
-
-* :class:`LegacyMappingResult` — mixin giving a typed result read-only
-  ``dict``-style access to its historical keys, each access raising a
-  :class:`DeprecationWarning`.
-* :class:`JpsResult` — a ``float`` subclass (the measured jobs-per-second)
-  that also exposes ``.metrics``, so ``executor.run(...) * 2`` and
-  ``pytest.approx`` comparisons keep working while new code reads the full
-  metrics.
+Every baseline returns a typed result carrying a full
+:class:`~repro.rt.metrics.ScenarioMetrics`, so the experiment engine treats
+them like DARIS (uniform metrics, cacheable).  The saturated executors
+return a :class:`JpsResult`: a ``float`` subclass (the measured
+jobs-per-second) that also exposes ``.metrics``, so ``executor.run(...) * 2``
+and ``pytest.approx`` comparisons work while new code reads the full
+metrics.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.rt.metrics import FaultImpact, PriorityMetrics, ScenarioMetrics
-
-
-class LegacyMappingResult:
-    """Mixin: deprecated ``dict``-style access to a typed result.
-
-    Subclasses implement :meth:`legacy_mapping` returning the historical
-    key/value shape; ``result["key"]`` (and ``in`` / ``keys()`` / ``items()``
-    / ``get()``) then keep working, each emitting a deprecation warning that
-    names the typed replacement.
-    """
-
-    def legacy_mapping(self) -> Dict[str, object]:
-        """The historical ``dict`` shape of this result."""
-        raise NotImplementedError
-
-    def _warn(self) -> None:
-        warnings.warn(
-            f"dict-style access to {type(self).__name__} is deprecated;"
-            " use its typed attributes (.metrics and friends) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> object:
-        self._warn()
-        return self.legacy_mapping()[key]
-
-    def __contains__(self, key: object) -> bool:
-        self._warn()
-        return key in self.legacy_mapping()
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(self.legacy_mapping())
-
-    def keys(self):
-        """Deprecated: the historical dictionary's keys."""
-        self._warn()
-        return self.legacy_mapping().keys()
-
-    def items(self):
-        """Deprecated: the historical dictionary's items."""
-        self._warn()
-        return self.legacy_mapping().items()
-
-    def values(self):
-        """Deprecated: the historical dictionary's values."""
-        self._warn()
-        return self.legacy_mapping().values()
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(self.legacy_mapping())
-
-    def get(self, key: str, default: object = None) -> object:
-        """Deprecated: the historical dictionary's ``get``."""
-        self._warn()
-        return self.legacy_mapping().get(key, default)
 
 
 class JpsResult(float):

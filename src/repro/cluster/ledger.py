@@ -1,9 +1,9 @@
-"""O(1)-per-event dispatch index for the cluster routing fast path.
+"""O(1)-per-event dispatch index for cluster routing.
 
-PR 9's router consumed a fresh tuple of :class:`~repro.cluster.router.GpuLoadView`
-dataclasses on every released request and scanned it with a lambda-keyed
-``min``/``max`` — O(num_gpus) allocation and comparison per release, which is
-why the cluster got slower per job the bigger it grew.  The
+A router handed a fresh tuple of :class:`~repro.cluster.router.GpuLoadView`
+dataclasses on every released request, scanned with a lambda-keyed
+``min``/``max``, costs O(num_gpus) allocation and comparison per release,
+so the cluster would get slower per job the bigger it grew.  The
 :class:`DispatchLedger` replaces those snapshots with mutable per-device
 arrays (``outstanding_ms``, ``queue_depth``) that the workers update in place
 as requests enqueue, complete, time out or migrate, plus per-eligible-subset
@@ -14,11 +14,11 @@ index structures (:class:`DeviceGroup`) the routers read directly:
   entries (whose value no longer matches the ledger) are discarded at peek
   time, so a dispatch is O(log G) amortized instead of an O(G) scan.  An
   entry that *matches* the ledger value is by construction the device's
-  current key, so the surviving heap minimum is exactly the reference
+  current key, so the surviving heap minimum is exactly the router's
   ``min(views, key=(outstanding_ms, index))``.
 * ``deadline_aware`` — a bisect-maintained ascending ordering of the same
   ``(outstanding_ms, index)`` pairs.  Floating-point addition is monotone,
-  so the reference feasibility predicate ``now + outstanding + predicted <=
+  so the router's feasibility predicate ``now + outstanding + predicted <=
   deadline + eps`` is true on a prefix of the ordering; a binary search that
   evaluates the *identical* float expression finds the boundary bit-exactly,
   and the pack target (max outstanding, min index among ties) is the end of
@@ -31,15 +31,14 @@ devices with ``queue_depth < migration_backlog`` (``below_backlog``), updated
 only when a depth delta crosses the threshold, so the sustained-backlog
 window check collapses from a per-release min-scan to one integer compare.
 
-Equivalence contract: every structure answers *exactly* what the PR 9
-reference scan would have answered for the same ledger state — same floats,
-same tie-breaks, same epsilon — which is what lets
-``tests/test_perf_equivalence.py`` pin the indexed tier trace-identical to
-the reference path across the router x placement x fault x migration matrix.
-The alive-filter is handled by engagement, not emulation: the server only
-consults the index while no device is degraded (tracked O(1) via the fault
-injector's degraded-flip hook) and falls back to reference views inside
-fault windows, where the filtered candidate list is no longer a pure
+Equivalence contract: every structure answers *exactly* what the router
+policy's ``select`` scan answers over views of the same ledger state — same
+floats, same tie-breaks, same epsilon — and ``tests/test_golden_digests.py``
+pins the routed runs across the router x placement x fault x migration
+matrix.  The alive filter is handled by engagement, not emulation: the
+server only consults the index while no device is degraded (tracked O(1)
+via the fault injector's degraded-flip hook) and routes through views
+inside fault windows, where the filtered candidate list is no longer a pure
 function of the ledger.
 """
 
@@ -84,7 +83,7 @@ class DeviceGroup:
     # -------------------------------------------------------------- selection
 
     def least_loaded(self) -> int:
-        """The reference ``min(views, key=(outstanding_ms, index))`` answer."""
+        """The ``min(views, key=(outstanding_ms, index))`` answer."""
         heap = self.heap
         outstanding = self.ledger.outstanding_ms
         while True:
@@ -94,9 +93,9 @@ class DeviceGroup:
             heapq.heappop(heap)  # stale: the device moved since this push
 
     def deadline_aware(self, now: float, deadline: float, predicted_ms: float) -> int:
-        """The reference pack-most-loaded-feasible / least-loaded-fallback.
+        """The pack-most-loaded-feasible / least-loaded-fallback answer.
 
-        Evaluates the reference predicate ``now + outstanding + predicted <=
+        Evaluates the router's predicate ``now + outstanding + predicted <=
         deadline + eps`` verbatim at O(log G) probe points; monotonicity of
         float addition makes the feasible set a prefix of the ordering.
         """

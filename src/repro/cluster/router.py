@@ -111,8 +111,8 @@ class RoundRobinRouter(RouterPolicy):
         """View-free rotation over raw device indexes (the indexed fast path).
 
         Shares ``_cursor`` with :meth:`select`, so a run that mixes indexed
-        dispatches with view-built fallbacks (e.g. inside fault windows)
-        rotates exactly like an all-reference run.
+        dispatches with view-built ones (e.g. inside fault windows) rotates
+        exactly like a run that builds views for every dispatch.
         """
         choice = devices[self._cursor % len(devices)]
         self._cursor += 1

@@ -1,4 +1,4 @@
-"""The cluster runtime: N per-GPU executors behind one router.
+"""The EDF serving runtime: N per-GPU Clockwork executors behind one router.
 
 One :class:`~repro.sim.simulator.Simulator` hosts the whole cluster — each
 device is a :class:`~repro.gpu.platform.GpuPlatform` (with its own engine)
@@ -9,27 +9,24 @@ completion time.  Releases enter at the cluster level through the shared
 the request becomes an event in that device's loop; completions re-arm the
 device's executor.  There is no wall-clock interleaving anywhere — every
 cross-device dependency is a simulator event — so runs are bit-identical
-per seed under the established RNG-stream discipline.
+per seed under the established RNG-stream discipline.  This is the
+repository's one EDF serving loop: the single-GPU ``clockwork`` backend is a
+1-GPU :class:`ClusterServer`.
 
-Per-event cost: dispatch is O(1) in the cluster size.  The default
-*indexed* tier (``ClusterServer.indexed_dispatch_enabled``) resolves each
-release through the run's :class:`~repro.cluster.ledger.DispatchLedger` —
-per-task constants (predicted latency, deadline, kernel specs, metric
-bucket) are memoized once per run in a :class:`_TaskProfile`, routing reads
-the ledger's incremental min-heap / bisect ordering / cursor instead of
-materializing ``GpuLoadView`` tuples, and the sustained-backlog migration
-trigger is a per-group counter compare instead of a device scan.  The
-PR 9 reference path (fresh view tuples + lambda-keyed router scans) stays
-alive behind the toggle and whenever an ``on_dispatch`` observer needs the
-views; ``tests/test_perf_equivalence.py`` pins both paths bit-identical
-across the router x placement x fault x migration matrix.
+Per-event cost: dispatch is O(1) in the cluster size.  Each release resolves
+through the run's :class:`~repro.cluster.ledger.DispatchLedger` — per-task
+constants (predicted latency, deadline, kernel specs, metric bucket) are
+memoized once per run in a :class:`_TaskProfile`, routing reads the ledger's
+incremental min-heap / bisect ordering / cursor, and the sustained-backlog
+migration trigger is a per-group counter compare.  Router views
+(``GpuLoadView`` tuples) are still built whenever an ``on_dispatch``
+observer needs them or a device is degraded (the alive filter needs them).
 
 RNG streams: arrivals and request-level fault draws come from the run's
-root :class:`~repro.sim.rng.RngFactory` (the exact streams a single-GPU
-Clockwork run consumes, which is what makes a 1-GPU cluster reproduce the
-``clockwork`` backend's counters); device-level fault timelines of a
-multi-GPU cluster come from per-device ``spawn``-derived factories, so each
-device degrades independently without perturbing any other stream.
+root :class:`~repro.sim.rng.RngFactory`, as do the device-level fault
+timelines of a 1-GPU cluster; device-level fault timelines of a multi-GPU
+cluster come from per-device ``spawn``-derived factories, so each device
+degrades independently without perturbing any other stream.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ledger import DispatchLedger
@@ -65,10 +62,10 @@ from repro.sim.workload import PERIODIC_WORKLOAD, ReleaseStream, WorkloadSpec
 class _TaskProfile:
     """Dispatch constants of one task, resolved once per run.
 
-    PR 9 recomputed ``isolated_latency_ms`` (a sum over stages), the
-    relative deadline and the per-priority bucket lookup on *every* release;
-    all of them are pure functions of the immutable task/model/calibration,
-    so the memoized values are bit-identical to recomputation.
+    The predicted latency (``isolated_latency_ms`` times the admission
+    slack), the relative deadline and the per-priority bucket are pure
+    functions of the immutable task/model/calibration, so they are computed
+    once instead of on every release.
     """
 
     __slots__ = (
@@ -102,6 +99,12 @@ class _QueuedRequest:
 class _GpuWorker:
     """One device's executor: the Clockwork loop bound to a shared simulator.
 
+    Clockwork (Gujarati et al., OSDI 2020) achieves predictable latency by
+    executing exactly one DNN at a time, relying on the resulting
+    deterministic execution times to decide up front whether a request can
+    meet its deadline; requests that cannot are rejected.  The DARIS paper
+    cites it as the design point that trades throughput for predictability.
+
     Keeps a ledger of outstanding predicted work (the router's load signal)
     and per-device telemetry; the headline counters go to the cluster-shared
     per-priority buckets so the merged metrics match what one big Clockwork
@@ -109,7 +112,7 @@ class _GpuWorker:
     at a time, so the in-flight state lives in two slots
     (``_active``/``_stage``) instead of per-request closures, and every load
     / queue-depth delta is mirrored into the run's
-    :class:`~repro.cluster.ledger.DispatchLedger` when one is bound.
+    :class:`~repro.cluster.ledger.DispatchLedger`.
     """
 
     __slots__ = (
@@ -146,6 +149,7 @@ class _GpuWorker:
         policy: ResiliencePolicy,
         timeout_ms: Optional[float],
         per_task_completed: Dict[str, int],
+        ledger: DispatchLedger,
     ):
         self.index = index
         self.simulator = simulator
@@ -166,9 +170,9 @@ class _GpuWorker:
         self.queue: List[_QueuedRequest] = []
         self.outstanding_ms = 0.0
         self.depth = 0  # requests queued or running (incremental)
-        self.ledger: Optional[DispatchLedger] = None
-        self._track_load = False
-        self._track_depth = False
+        self.ledger = ledger
+        self._track_load = ledger.track_load
+        self._track_depth = ledger.backlog > 0
         self._active: Optional[_QueuedRequest] = None
         self._stage = 0
         # Telemetry.
@@ -178,31 +182,10 @@ class _GpuWorker:
         self.max_queue_depth = 0
         self.migrations = 0
 
-    def bind_ledger(self, ledger: DispatchLedger) -> None:
-        """Mirror this device's load/depth deltas into the dispatch ledger."""
-        self.ledger = ledger
-        self._track_load = ledger.track_load
-        self._track_depth = ledger.backlog > 0
-
     # ------------------------------------------------------------- load view
 
-    @property
-    def running(self) -> bool:
-        """True while a request occupies the device."""
-        return self._active is not None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests queued or running on this device."""
-        return self.depth
-
-    @property
-    def alive(self) -> bool:
-        """False while degraded (crash recovery or slowdown window)."""
-        return not self.injector.degraded
-
     def load_view(self) -> GpuLoadView:
-        """Snapshot handed to the router at dispatch time (reference path)."""
+        """Snapshot handed to the router when views are needed (see ``serve``)."""
         return GpuLoadView(
             index=self.index,
             outstanding_ms=self.outstanding_ms,
@@ -416,25 +399,29 @@ def _merged_impact(
 
 
 class ClusterServer:
-    """N simulated GPUs behind a router, one event graph, one metrics merge."""
+    """N simulated GPUs behind a router, one event graph, one metrics merge.
 
-    #: Class toggle for the O(1) indexed-dispatch tier (PR 7 discipline).
-    #: Off = the PR 9 reference path: fresh ``GpuLoadView`` tuples per
-    #: release, lambda-keyed router scans and the per-release migration
-    #: backlog scan.  Pinned trace-identical by ``tests/test_perf_equivalence``.
-    indexed_dispatch_enabled: ClassVar[bool] = True
+    ``admission_slack`` multiplies every task's predicted latency — the
+    figure both the admission test and the router's load signal use.  Above
+    1 the workers shed earlier (conservative), below 1 they admit deeper
+    (optimistic); the default 1.0 leaves every prediction unchanged.
+    """
 
     def __init__(
         self,
         config: ClusterConfig,
         gpu: GpuSpec = RTX_2080_TI,
         calibration: GpuCalibration = DEFAULT_CALIBRATION,
+        admission_slack: float = 1.0,
     ):
+        if not admission_slack > 0:
+            raise ValueError("admission_slack must be positive")
         self.config = config
         self.gpu = gpu
         self.calibration = calibration
-        #: Dispatches resolved through the indexed tier in the last
-        #: ``serve`` run (the ``vector_engagements``-style engagement probe).
+        self.admission_slack = admission_slack
+        #: Dispatches in the last ``serve`` run that were routed from the
+        #: ledger alone, without building router views.
         self.indexed_engagements = 0
 
     def serve(
@@ -453,9 +440,8 @@ class ClusterServer:
 
         ``on_dispatch(now, model_name, chosen, views)`` (when given) observes
         every routing decision with the candidate views the router saw — the
-        hook the router-invariant tests use.  Observed dispatches always run
-        the reference view-building path, so the hook sees exactly what a
-        reference run's router would.
+        hook the router-invariant tests use.  Observed dispatches always
+        build the views and route through ``RouterPolicy.select``.
         """
         if horizon_ms <= 0:
             raise ValueError("horizon must be positive")
@@ -469,7 +455,6 @@ class ClusterServer:
         policy = resilience if resilience is not None else DEFAULT_POLICY
         config = self.config
         num_gpus = config.num_gpus
-        indexed = type(self).indexed_dispatch_enabled
         self.indexed_engagements = 0
 
         simulator = Simulator()
@@ -486,6 +471,14 @@ class ClusterServer:
         }
         per_task_completed: Dict[str, int] = {}
 
+        migration_on = config.migration_backlog > 0 and num_gpus >= 2
+        # One dispatch ledger per run: device deltas are mirrored in,
+        # routing and migration triggers read it directly.
+        ledger = DispatchLedger(
+            num_gpus,
+            config.router,
+            backlog=config.migration_backlog if migration_on else 0,
+        )
         workers: List[_GpuWorker] = []
         device_injectors: List[FaultInjector] = []
         for index in range(num_gpus):
@@ -495,13 +488,14 @@ class ClusterServer:
                 spec=self.gpu,
                 calibration=self.calibration,
             )
-            # A 1-GPU cluster keeps the root factory so its fault streams
-            # are exactly the single-device (clockwork) ones.
+            # A 1-GPU cluster keeps the root factory: its fault streams are
+            # those of a single-device run.
             device_rng = rng if num_gpus == 1 else rng.spawn(f"cluster-gpu[{index}]")
             injector = FaultInjector(
                 _device_spec(faults, index), rng=device_rng, policy=policy
             )
             injector.install(simulator, platform, horizon_ms)
+            injector.on_degraded_change = ledger.degraded_changed
             workers.append(
                 _GpuWorker(
                     index,
@@ -511,6 +505,7 @@ class ClusterServer:
                     policy,
                     timeout_ms,
                     per_task_completed,
+                    ledger,
                 )
             )
             device_injectors.append(injector)
@@ -523,7 +518,6 @@ class ClusterServer:
         router = make_router(config.router)
         backlog_since: Dict[str, float] = {}
         dispatch_seq = count(1)
-        migration_on = config.migration_backlog > 0 and num_gpus >= 2
 
         # Per-run memos: predicted isolated latency per (model, calibration)
         # and the stage kernel specs per model, shared by every task of that
@@ -536,7 +530,9 @@ class ClusterServer:
             key = id(model)
             predicted = predicted_by_model.get(key)
             if predicted is None:
-                predicted = model.isolated_latency_ms(self.calibration)
+                # One DNN at a time on the whole GPU: the isolated latency
+                # *is* the deterministic worst case, Clockwork's core idea.
+                predicted = model.isolated_latency_ms(self.calibration) * self.admission_slack
                 predicted_by_model[key] = predicted
                 kernels_by_model[key] = tuple(
                     stage.to_kernel_spec() for stage in model.stages
@@ -545,22 +541,9 @@ class ClusterServer:
                 task, per_priority[task.priority], predicted, kernels_by_model[key]
             )
 
-        # The indexed tier: one dispatch ledger per run, device deltas
-        # mirrored in, routing and migration triggers read it directly.
-        ledger: Optional[DispatchLedger] = None
-        group_by_model: Dict[str, object] = {}
-        if indexed:
-            ledger = DispatchLedger(
-                num_gpus,
-                config.router,
-                backlog=config.migration_backlog if migration_on else 0,
-            )
-            for injector in device_injectors:
-                injector.on_degraded_change = ledger.degraded_changed
-            for worker in workers:
-                worker.bind_ledger(ledger)
-            for name in model_names:
-                group_by_model[name] = ledger.group_for(placement.gpus_for(name))
+        group_by_model = {
+            name: ledger.group_for(placement.gpus_for(name)) for name in model_names
+        }
 
         def migrate(model_name: str, eligible: Tuple[int, ...], now: float) -> None:
             others = [g for g in range(num_gpus) if g not in eligible]
@@ -573,51 +556,28 @@ class ClusterServer:
                 taken = workers[g].take_queued(model_name)
                 if taken:
                     # Only devices that actually contributed requests count
-                    # a migration (PR 9 inflated this by counting every
-                    # eligible device, moved or not).
+                    # a migration.
                     workers[g].migrations += 1
                     moved.extend(taken)
             placement.reassign(model_name, (target,))
-            if ledger is not None:
-                group_by_model[model_name] = ledger.group_for((target,))
+            group_by_model[model_name] = ledger.group_for((target,))
             backlog_since.pop(model_name, None)
             workers[target].receive_migrated(moved)
 
-        maybe_migrate: Optional[Callable[[str, float], None]]
-        if not migration_on:
-            maybe_migrate = None
-        elif ledger is not None:
+        def maybe_migrate(model_name: str, now: float) -> None:
+            # ``below_backlog`` counts eligible devices under the threshold,
+            # so "every eligible GPU holds a backlog" is one integer compare.
+            group = group_by_model[model_name]
+            if group.below_backlog > 0:
+                backlog_since.pop(model_name, None)
+                return
+            since = backlog_since.get(model_name)
+            if since is None:
+                backlog_since[model_name] = now
+            elif now - since >= config.migration_window_ms:
+                migrate(model_name, group.devices, now)
 
-            def maybe_migrate(model_name: str, now: float) -> None:
-                # O(1) incremental trigger: ``below_backlog`` counts eligible
-                # devices under the threshold, so "every eligible GPU holds a
-                # backlog" is one integer compare per release.
-                group = group_by_model[model_name]
-                if group.below_backlog > 0:
-                    backlog_since.pop(model_name, None)
-                    return
-                since = backlog_since.get(model_name)
-                if since is None:
-                    backlog_since[model_name] = now
-                elif now - since >= config.migration_window_ms:
-                    migrate(model_name, group.devices, now)
-
-        else:
-
-            def maybe_migrate(model_name: str, now: float) -> None:
-                # Reference trigger: per-release scan over the eligible set.
-                eligible = placement.gpus_for(model_name)
-                best_depth = min(workers[g].queue_depth for g in eligible)
-                if best_depth < config.migration_backlog:
-                    backlog_since.pop(model_name, None)
-                    return
-                since = backlog_since.get(model_name)
-                if since is None:
-                    backlog_since[model_name] = now
-                elif now - since >= config.migration_window_ms:
-                    migrate(model_name, eligible, now)
-
-        fast_routing = indexed and on_dispatch is None
+        fast_routing = on_dispatch is None
         least_loaded_kind = config.router == "least_loaded"
         deadline_kind = config.router == "deadline_aware"
         rr_select_index = (
@@ -635,12 +595,12 @@ class ClusterServer:
                 return
             model_name = profile.model_name
             now = event.time
-            if maybe_migrate is not None:
+            if migration_on:
                 maybe_migrate(model_name, now)
             predicted = profile.predicted_ms
             deadline = now + profile.relative_deadline_ms
             if fast_routing and ledger.degraded_devices == 0:
-                # Indexed tier: direct ledger reads, no view materialization.
+                # Direct ledger reads, no view materialization.
                 group = group_by_model[model_name]
                 if least_loaded_kind:
                     choice = group.least_loaded()
@@ -650,9 +610,9 @@ class ClusterServer:
                     choice = rr_select_index(group.devices)
                 engagements += 1
             else:
-                # Reference path: kept alive for the toggle-off tier, the
-                # ``on_dispatch`` observer, and dispatches made while any
-                # device is degraded (the alive-filter needs real views).
+                # Views for the ``on_dispatch`` observer, and for dispatches
+                # made while any device is degraded (the alive filter needs
+                # real views).
                 eligible = placement.gpus_for(model_name)
                 views = tuple(workers[g].load_view() for g in eligible)
                 candidates = tuple(view for view in views if view.alive) or views

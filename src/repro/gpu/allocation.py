@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 
 def water_fill(capacity: float, demands: Sequence[float]) -> List[float]:
     """Distribute ``capacity`` across ``demands`` fairly.
@@ -51,55 +49,6 @@ def water_fill(capacity: float, demands: Sequence[float]) -> List[float]:
             break
         unsatisfied = still_unsatisfied
     return allocations
-
-
-def water_fill_array(capacity: float, demands: Sequence[float]) -> List[float]:
-    """Vectorized :func:`water_fill` — bit-identical, one numpy pass per round.
-
-    A closed-form sorted water level (``allocation = min(demand, level)``)
-    yields the same *real* numbers but not the same *floats*: the reference
-    accumulates each receiver's allocation as a sum of per-round grants, and
-    floating-point addition is not associative.  To stay bit-identical this
-    version keeps the reference's round structure and replays each round with
-    array operations:
-
-    * ``grant = min(need, share)`` becomes an elementwise ``np.minimum`` —
-      per-element results are the exact same IEEE values;
-    * the running ``remaining_capacity`` is folded in index order over the
-      grant vector (``numpy``'s pairwise-summed ``sum`` would reorder the
-      subtraction chain, so a scalar fold is used — it is O(active) and cheap
-      next to the vector work).
-
-    Rounds shrink geometrically in practice (every round fully satisfies at
-    least one receiver or terminates), so wide contexts pay a handful of
-    O(n) vector passes instead of O(n) Python-level iterations per round.
-    Returns a plain ``List[float]`` like the reference so downstream
-    consumers see identical types.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative, got {capacity}")
-    count = len(demands)
-    if count == 0 or capacity == 0:
-        return [0.0] * count
-
-    demands_arr = np.asarray(demands, dtype=np.float64)
-    allocations = np.zeros(count, dtype=np.float64)
-    remaining_capacity = float(capacity)
-    active = np.nonzero(demands_arr > 0)[0]
-    while active.size and remaining_capacity > 1e-12:
-        share = remaining_capacity / active.size
-        need = demands_arr[active] - allocations[active]
-        grant = np.minimum(need, share)
-        allocations[active] += grant
-        for value in grant.tolist():
-            remaining_capacity -= value
-        still_unsatisfied = allocations[active] < demands_arr[active] - 1e-12
-        if still_unsatisfied.all():
-            # Everyone got a full equal share and still wants more: capacity
-            # is exhausted up to floating-point error.
-            break
-        active = active[still_unsatisfied]
-    return allocations.tolist()
 
 
 @dataclass(frozen=True)

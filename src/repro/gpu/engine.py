@@ -12,17 +12,8 @@ water-filling for the context it touched.  When the cross-context scale factor
 and the contention factor are unchanged by an event, the rates of kernels in
 untouched contexts are provably unchanged — the fast path skips recomputing
 them entirely.  All arithmetic follows the exact operation order of the
-original from-scratch :func:`repro.gpu.allocation.allocate_sms` plan so that
-optimized runs are bit-identical to unoptimized ones (see
-``tests/test_perf_equivalence.py``).
-
-For wide running sets (``num_contexts * streams_per_context`` well past ten
-concurrently running kernels) the engine additionally keeps the remaining
-work and rates in contiguous numpy arrays (``vectorized_enabled``): progress
-advancement, completion detection and the next-completion ETA then run as
-array expressions instead of per-kernel Python loops.  Every array expression
-mirrors the scalar operation order element for element, so the vectorized
-tier is bit-identical to the scalar tier as well.
+from-scratch :func:`repro.gpu.allocation.allocate_sms` plan, so the results
+are bit-identical to it (pinned by ``tests/test_golden_digests.py``).
 
 Completion events use a generation token instead of a cancellable handle:
 each replan bumps the generation, so a superseded completion callback simply
@@ -39,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gpu.allocation import water_fill, water_fill_array
+from repro.gpu.allocation import water_fill
 from repro.gpu.calibration import (
     CONTENTION_WEIGHT_BASE,
     CONTENTION_WEIGHT_MEMORY,
@@ -56,17 +47,6 @@ from repro.sim.simulator import Simulator
 _EPSILON_WORK = 1e-9
 _EPSILON_TIME = 1e-9
 
-# Running-set width from which the contiguous-array tier takes over.  Below
-# this the per-kernel Python loops win (no array bookkeeping, no numpy call
-# overhead); well above it the array expressions amortize their fixed cost
-# over the whole running set.
-_VECTOR_MIN_KERNELS = 24
-
-# Per-context demand count from which the array-based water fill takes over
-# in the general replan path; below it the scalar loop is cheaper than the
-# numpy call overhead.
-_ARRAY_FILL_MIN_DEMANDS = 8
-
 # Noise draws are taken from the generator in chunks of this size; the chunk
 # reproduces the scalar draw sequence bit for bit (``normal(0, sigma)`` is
 # ``sigma * standard_normal()`` on the same underlying stream).
@@ -76,13 +56,9 @@ _NOISE_CHUNK = 256
 class GpuEngine:
     """Simulated GPU shared by all contexts of one experiment."""
 
-    # Class-level switch for the under-subscription fast path; the equivalence
-    # test disables it to force the reference (full) replan on every event.
-    fast_path_enabled: bool = True
-    # Class-level switch for the wide-running-set numpy tier.
-    vectorized_enabled: bool = True
-    # Class-level switch for chunked noise draws (scalar draws when False).
-    batched_noise_enabled: bool = True
+    #: Always 0: the engine has no separate tier for wide running sets.
+    #: Kept so run reports that read the counter keep their shape.
+    vector_engagements = 0
 
     def __init__(
         self,
@@ -142,21 +118,10 @@ class GpuEngine:
         # Observability: how often the fast path skipped rate recomputation.
         self.fast_path_hits = 0
         self.full_replans = 0
-        # Observability: how often the wide-running-set numpy tier activated.
-        self.vector_engagements = 0
         # Completion scheduling: a monotonically increasing generation token.
         # Every replan bumps it, so outstanding completion callbacks from
         # older plans fire as no-ops instead of being cancelled.
         self._completion_gen = 0
-        # Vectorized tier state (active only while the running set is wide).
-        # ``_vec_kernels`` mirrors the insertion order of ``_running``;
-        # ``_vec_rw`` is the source of truth for remaining work while active
-        # (instance attributes are flushed lazily), ``_vec_rate`` mirrors the
-        # always-current ``current_rate`` attributes.
-        self._vec_active = False
-        self._vec_kernels: List[KernelInstance] = []
-        self._vec_rw: Optional[np.ndarray] = None
-        self._vec_rate: Optional[np.ndarray] = None
         # Invoked as ``callback(context_id, stream_id)`` whenever a stream
         # drains to empty; the platform uses it for O(1) idle-stream tracking.
         self.stream_idle_callback: Optional[Callable[[int, int], None]] = None
@@ -325,13 +290,9 @@ class GpuEngine:
         if elapsed > 0:
             self._utilization_time_integral += self._current_utilization * elapsed
         if elapsed > _EPSILON_TIME:
-            if self._vec_active:
-                remaining = self._vec_rw - self._vec_rate * elapsed
-                self._vec_rw = np.where(remaining > 0.0, remaining, 0.0)
-            else:
-                for running_kernel in self._running.values():
-                    remaining = running_kernel.remaining_work - running_kernel.current_rate * elapsed
-                    running_kernel.remaining_work = remaining if remaining > 0.0 else 0.0
+            for running_kernel in self._running.values():
+                remaining = running_kernel.remaining_work - running_kernel.current_rate * elapsed
+                running_kernel.remaining_work = remaining if remaining > 0.0 else 0.0
         self._last_update = now
         kernel.state = KernelState.RUNNING
         kernel.start_time = now
@@ -358,10 +319,6 @@ class GpuEngine:
             self._ctx_running[context_id] = [kernel]
         else:
             ctx_list.append(kernel)
-        if self._vec_active:
-            self._vec_kernels.append(kernel)
-            self._vec_rw = np.append(self._vec_rw, kernel.remaining_work)
-            self._vec_rate = np.append(self._vec_rate, kernel.current_rate)
         self._dirty_contexts.add(context_id)
         self._replan()
 
@@ -369,21 +326,18 @@ class GpuEngine:
         """Log-normal noise factor with unit mean (deterministic 1.0 without RNG)."""
         if self._noise_rng is None or sigma <= 0:
             return 1.0
-        if GpuEngine.batched_noise_enabled:
-            # ``normal(0, sigma)`` draws one standard normal and scales it;
-            # taking the standard normals in chunks consumes the generator
-            # identically (the engine owns the "gpu-noise" stream), so the
-            # draw sequence — and hence every noise factor — is unchanged.
-            pos = self._noise_pos
-            chunk = self._noise_chunk
-            if pos >= len(chunk):
-                chunk = self._noise_rng.standard_normal(size=_NOISE_CHUNK).tolist()
-                self._noise_chunk = chunk
-                pos = 0
-            self._noise_pos = pos + 1
-            draw = sigma * chunk[pos]
-        else:
-            draw = self._noise_rng.normal(0.0, sigma)
+        # ``normal(0, sigma)`` draws one standard normal and scales it;
+        # taking the standard normals in chunks consumes the generator
+        # identically (the engine owns the "gpu-noise" stream), so the draw
+        # sequence — and hence every noise factor — is that of scalar draws.
+        pos = self._noise_pos
+        chunk = self._noise_chunk
+        if pos >= len(chunk):
+            chunk = self._noise_rng.standard_normal(size=_NOISE_CHUNK).tolist()
+            self._noise_chunk = chunk
+            pos = 0
+        self._noise_pos = pos + 1
+        draw = sigma * chunk[pos]
         return math.exp(draw - 0.5 * sigma * sigma)
 
     # ----------------------------------------------------------------- faults
@@ -418,19 +372,9 @@ class GpuEngine:
         if recovery_ms < 0:
             raise ValueError("recovery_ms must be non-negative")
         self._advance_progress()
-        if self._vec_active:
-            # Settle the array state into the instance attributes before the
-            # per-kernel rework below mutates them.
-            self._vec_writeback()
         kernels = self._ctx_running.get(context_id) or ()
         for kernel in kernels:
             kernel.remaining_work = kernel.effective_work + kernel.current_rate * recovery_ms
-        if self._vec_active and kernels:
-            self._vec_rw = np.fromiter(
-                (k.remaining_work for k in self._vec_kernels),
-                np.float64,
-                count=len(self._vec_kernels),
-            )
         context = self._contexts[context_id]
         now = self.simulator.now
         free_at = context.dispatcher_free_at
@@ -449,40 +393,10 @@ class GpuEngine:
         if elapsed > 0:
             self._utilization_time_integral += self._current_utilization * elapsed
         if elapsed > _EPSILON_TIME:
-            if self._vec_active:
-                # Element-for-element the same two operations and the same
-                # clip conditional as the scalar loop below.
-                remaining = self._vec_rw - self._vec_rate * elapsed
-                self._vec_rw = np.where(remaining > 0.0, remaining, 0.0)
-            else:
-                for kernel in self._running.values():
-                    remaining = kernel.remaining_work - kernel.current_rate * elapsed
-                    kernel.remaining_work = remaining if remaining > 0.0 else 0.0
+            for kernel in self._running.values():
+                remaining = kernel.remaining_work - kernel.current_rate * elapsed
+                kernel.remaining_work = remaining if remaining > 0.0 else 0.0
         self._last_update = now
-
-    # ------------------------------------------------------- vectorized state
-
-    def _vec_enter(self) -> None:
-        """Build the contiguous arrays from the (current) instance attributes."""
-        kernels = list(self._running.values())
-        count = len(kernels)
-        self._vec_kernels = kernels
-        self._vec_rw = np.fromiter((k.remaining_work for k in kernels), np.float64, count=count)
-        self._vec_rate = np.fromiter((k.current_rate for k in kernels), np.float64, count=count)
-        self._vec_active = True
-        self.vector_engagements += 1
-
-    def _vec_writeback(self) -> None:
-        """Flush the remaining-work array back into the instance attributes."""
-        for kernel, remaining in zip(self._vec_kernels, self._vec_rw.tolist()):
-            kernel.remaining_work = remaining
-
-    def _vec_exit(self) -> None:
-        self._vec_writeback()
-        self._vec_active = False
-        self._vec_kernels = []
-        self._vec_rw = None
-        self._vec_rate = None
 
     # ---------------------------------------------------------------- replans
 
@@ -512,16 +426,6 @@ class GpuEngine:
         elif not running and self._busy_time_start is not None:
             self._total_busy_time += self.simulator.now - self._busy_time_start
             self._busy_time_start = None
-
-        # Enter or leave the wide-running-set array tier.  Attributes are the
-        # source of truth outside the tier, the arrays inside it; both
-        # transitions preserve the invariant.
-        vec_wanted = GpuEngine.vectorized_enabled and len(running) >= _VECTOR_MIN_KERNELS
-        if vec_wanted != self._vec_active:
-            if vec_wanted:
-                self._vec_enter()
-            else:
-                self._vec_exit()
 
         # Drop contexts whose running set emptied; afterwards every entry of
         # ``_ctx_running`` is non-empty and every dirty context needs only a
@@ -554,7 +458,7 @@ class GpuEngine:
         # multiplier) plus frozen engine constants, so the result is memoized
         # per input triple: serving loops that cycle through the same few
         # stage specs replay the cached floats instead of re-deriving them.
-        if len(running) == 1 and GpuEngine.fast_path_enabled:
+        if len(running) == 1:
             self.fast_path_hits += 1
             kernel = next(iter(running.values()))
             cid = kernel.context_id
@@ -625,7 +529,7 @@ class GpuEngine:
         # single pass over the running kernels.  Operation order matches the
         # general path (context order == kernel start order here), keeping
         # results bitwise identical.
-        if GpuEngine.fast_path_enabled and len(ctx_running) == len(running):
+        if len(ctx_running) == len(running):
             self.fast_path_hits += 1
             ctx_alloc = self._ctx_alloc
             if dirty:
@@ -697,9 +601,6 @@ class GpuEngine:
             self._current_utilization = min(1.0, granted / num_sms) if num_sms else 0.0
             self._last_scale = scale
             self._last_contention = contention_factor
-            if self._vec_active:
-                self._finish_replan()
-                return
             # _finish_replan + _schedule_completion inlined (hottest tail:
             # once per event at the MPS-policy shape).
             soonest = None
@@ -746,12 +647,7 @@ class GpuEngine:
                 demand = kernels[0].clipped_demand
                 ctx_alloc[cid] = ([demand], demand)
                 continue
-            quota = self._quotas[cid]
-            demands = [k.clipped_demand for k in kernels]
-            if self.vectorized_enabled and len(demands) >= _ARRAY_FILL_MIN_DEMANDS:
-                allocations = water_fill_array(quota, demands)
-            else:
-                allocations = water_fill(quota, demands)
+            allocations = water_fill(self._quotas[cid], [k.clipped_demand for k in kernels])
             ctx_alloc[cid] = (allocations, sum(allocations))
 
         num_sms = self._num_sms
@@ -787,9 +683,7 @@ class GpuEngine:
             pressure - 1.0 if pressure > 1.0 else 0.0
         )
         globals_changed = (
-            scale != self._last_scale
-            or contention_factor != self._last_contention
-            or not GpuEngine.fast_path_enabled
+            scale != self._last_scale or contention_factor != self._last_contention
         )
         self._last_scale = scale
         self._last_contention = contention_factor
@@ -823,22 +717,6 @@ class GpuEngine:
 
     def _finish_replan(self) -> None:
         """Find the earliest completion ETA and schedule its callback."""
-        if self._vec_active:
-            rates = np.fromiter(
-                (k.current_rate for k in self._vec_kernels),
-                np.float64,
-                count=len(self._vec_kernels),
-            )
-            self._vec_rate = rates
-            positive = rates > 0.0
-            if positive.all():
-                soonest = float((self._vec_rw / rates).min())
-            elif positive.any():
-                soonest = float((self._vec_rw[positive] / rates[positive]).min())
-            else:  # pragma: no cover - defensive
-                return
-            self._schedule_completion(soonest)
-            return
         soonest: Optional[float] = None
         for kernel in self._running.values():
             rate = kernel.current_rate
@@ -860,33 +738,20 @@ class GpuEngine:
         if elapsed > 0:
             self._utilization_time_integral += self._current_utilization * elapsed
         if elapsed > _EPSILON_TIME:
-            if self._vec_active:
-                remaining = self._vec_rw - self._vec_rate * elapsed
-                self._vec_rw = np.where(remaining > 0.0, remaining, 0.0)
-            else:
-                for kernel in self._running.values():
-                    remaining = kernel.remaining_work - kernel.current_rate * elapsed
-                    kernel.remaining_work = remaining if remaining > 0.0 else 0.0
-        self._last_update = now
-        if self._vec_active:
-            finished_idx = np.nonzero(self._vec_rw <= _EPSILON_WORK)[0]
-            finished = [self._vec_kernels[index] for index in finished_idx.tolist()]
-        else:
-            finished = None  # plain loop: no comprehension frame on the hot path
             for kernel in self._running.values():
-                if kernel.remaining_work <= _EPSILON_WORK:
-                    if finished is None:
-                        finished = [kernel]
-                    else:
-                        finished.append(kernel)
+                remaining = kernel.remaining_work - kernel.current_rate * elapsed
+                kernel.remaining_work = remaining if remaining > 0.0 else 0.0
+        self._last_update = now
+        finished = None  # plain loop: no comprehension frame on the hot path
+        for kernel in self._running.values():
+            if kernel.remaining_work <= _EPSILON_WORK:
+                if finished is None:
+                    finished = [kernel]
+                else:
+                    finished.append(kernel)
         if not finished:
             self._replan()
             return
-        if self._vec_active:
-            self._vec_rw = np.delete(self._vec_rw, finished_idx)
-            self._vec_rate = np.delete(self._vec_rate, finished_idx)
-            for index in reversed(finished_idx.tolist()):
-                del self._vec_kernels[index]
         notify_idle = self.stream_idle_callback
         for kernel in finished:
             del self._running[kernel.uid]
@@ -910,15 +775,14 @@ class GpuEngine:
                 self._begin_dispatch(next_kernel)
             elif notify_idle is not None:
                 notify_idle(context_id, kernel.stream_id)
-        if self._running or self._vec_active or not GpuEngine.fast_path_enabled:
+        if self._running:
             self._replan()
         else:
             # _replan() inlined for the drained-engine case (the every-stage
             # tail of serving loops that run one kernel at a time): with no
-            # running kernel and the vector tier inactive, the full replan
-            # reduces to exactly these side effects — invalidate outstanding
-            # completion events, settle busy time, drop emptied contexts and
-            # zero the utilization signals.
+            # running kernel the full replan reduces to exactly these side
+            # effects — invalidate outstanding completion events, settle busy
+            # time, drop emptied contexts and zero the utilization signals.
             self._completion_gen += 1
             if self._busy_time_start is not None:
                 self._total_busy_time += now - self._busy_time_start

@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dnn.batching import batched_stage_specs
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -48,108 +48,8 @@ from repro.sim.simulator import Simulator
 from repro.sim.workload import PERIODIC_WORKLOAD, ReleaseStream, WorkloadSpec
 
 
-class _ContextBacklog:
-    """Incrementally maintained MRET backlog of one context.
-
-    Tracks, per task, how many ready-queue entries sit at each stage index and
-    how many active jobs currently point at each stage.  The backlog in
-    milliseconds is then recomputed from the *current* MRET stage values in
-    O(tasks x stages), independent of the ready-queue length — the reference
-    computation (:meth:`DarisScheduler._predicted_finish_reference`) walks the
-    whole queue and every active job on each admission probe instead.
-
-    Numerical caveat: unlike the engine fast paths, this sum is *not* bitwise
-    identical to the reference scan — terms are grouped per task (and summed
-    via suffix accumulation) rather than in ready-queue order, so the result
-    can differ from the reference in the last ulp.  The admission test
-    compares the prediction against a deadline with an explicit 1e-9 slack,
-    so a divergence would require the estimate to land within rounding error
-    of that boundary; the trace-identity tests pin representative scenarios,
-    and ``DarisScheduler.incremental_backlog_enabled = False`` restores the
-    exact reference computation if ever needed.
-    """
-
-    __slots__ = ("_tasks", "_queued", "_active", "_entries", "_cache")
-
-    def __init__(self, tasks: Sequence[Task]):
-        self._tasks = tasks
-        self._queued: Dict[int, List[int]] = {t.task_id: [0] * t.num_stages for t in tasks}
-        self._active: Dict[int, List[int]] = {t.task_id: [0] * t.num_stages for t in tasks}
-        # Total number of queued stages + active jobs per task: tasks with no
-        # entries contribute nothing and are skipped entirely.
-        self._entries: Dict[int, int] = {t.task_id: 0 for t in tasks}
-        # task_id -> [timing version, contribution]; a contribution is valid
-        # while the counters are untouched and the MRET model unchanged
-        # (counter mutations invalidate by setting the version to -1).
-        self._cache: Dict[int, List] = {t.task_id: [-1, 0.0] for t in tasks}
-
-    def stage_enqueued(self, task_id: int, stage_index: int) -> None:
-        self._queued[task_id][stage_index] += 1
-        self._entries[task_id] += 1
-        self._cache[task_id][0] = -1
-
-    def stage_dequeued(self, task_id: int, stage_index: int) -> None:
-        self._queued[task_id][stage_index] -= 1
-        self._entries[task_id] -= 1
-        self._cache[task_id][0] = -1
-
-    def job_entered(self, task_id: int, stage_index: int) -> None:
-        self._active[task_id][stage_index] += 1
-        self._entries[task_id] += 1
-        self._cache[task_id][0] = -1
-
-    def job_left(self, task_id: int, stage_index: int) -> None:
-        self._active[task_id][stage_index] -= 1
-        self._entries[task_id] -= 1
-        self._cache[task_id][0] = -1
-
-    def job_advanced(self, task_id: int, old_stage: int, new_stage: int) -> None:
-        """Fused ``job_left(old) + job_entered(new)`` (entry count unchanged)."""
-        active = self._active[task_id]
-        active[old_stage] -= 1
-        active[new_stage] += 1
-        self._cache[task_id][0] = -1
-
-    def total_ms(self) -> float:
-        """Backlog: queued-stage MRETs plus every active job's remaining MRET."""
-        backlog = 0.0
-        entries = self._entries
-        cache = self._cache
-        for task in self._tasks:
-            task_id = task.task_id
-            if not entries[task_id]:
-                continue
-            timing = task.timing
-            cached = cache[task_id]
-            if cached[0] == timing.version:
-                backlog += cached[1]
-                continue
-            queued = self._queued[task_id]
-            active = self._active[task_id]
-            contribution = 0.0
-            suffix = 0.0  # sum of stage values from stage j to the last stage
-            for j in range(len(queued) - 1, -1, -1):
-                value = timing.stage_value(j)
-                suffix += value
-                queued_count = queued[j]
-                if queued_count:
-                    contribution += queued_count * value
-                active_count = active[j]
-                if active_count:
-                    contribution += active_count * suffix
-            cached[0] = timing.version
-            cached[1] = contribution
-            backlog += contribution
-        return backlog
-
-
 class DarisScheduler:
     """Deadline-aware real-time DNN inference scheduler on the simulated GPU."""
-
-    # Class-level switch used by the equivalence tests: when False, admission
-    # probes use the reference O(queue) backlog scan instead of the
-    # incrementally maintained counters.
-    incremental_backlog_enabled: bool = True
 
     def __init__(
         self,
@@ -215,9 +115,6 @@ class DarisScheduler:
         ]
         self._sequence = itertools.count()
         self._active_jobs: List[Dict[int, Job]] = [dict() for _ in range(config.num_contexts)]
-        self._backlogs: List[_ContextBacklog] = [
-            _ContextBacklog(self.tasks) for _ in range(config.num_contexts)
-        ]
 
     # ------------------------------------------------------------------ setup
 
@@ -319,7 +216,6 @@ class DarisScheduler:
         self.metrics.record_admission(job)
         self.admission.register_admission(job, context_index)
         self._active_jobs[context_index][job.uid] = job
-        self._backlogs[context_index].job_entered(job.task.task_id, job.current_stage_index)
 
         if self._timeout_ms is not None:
             self.simulator.schedule_after(
@@ -336,14 +232,6 @@ class DarisScheduler:
         The prediction adds the MRET backlog of the context's queued and
         active stages (divided by the stream count) to the current time.
         """
-        if self.incremental_backlog_enabled:
-            backlog = self._backlogs[context_index].total_ms()
-        else:
-            return self._predicted_finish_reference(context_index)
-        return self.simulator.now + backlog / self.config.streams_per_context
-
-    def _predicted_finish_reference(self, context_index: int) -> float:
-        """Reference backlog scan (O(queue length + active jobs x stages))."""
         backlog = 0.0
         for _, stage in self._queues[context_index]:
             backlog += stage.job.task.timing.stage_value(stage.stage_index)
@@ -372,7 +260,6 @@ class DarisScheduler:
             level = 0
         key = (level, stage.virtual_deadline, next(self._sequence))
         heapq.heappush(self._queues[context_index], (key, stage))
-        self._backlogs[context_index].stage_enqueued(job.task.task_id, stage.stage_index)
 
     def _dispatch(self, context_index: int) -> None:
         """Dispatch ready stages to idle streams of ``context_index``."""
@@ -380,7 +267,6 @@ class DarisScheduler:
         if not queue:
             return
         platform = self.platform
-        backlog = self._backlogs[context_index]
         timed_out = self._timed_out_jobs
         pop = heapq.heappop
         while queue:
@@ -388,7 +274,6 @@ class DarisScheduler:
             if stream_index is None:
                 return
             _, stage = pop(queue)
-            backlog.stage_dequeued(stage.job.task.task_id, stage.stage_index)
             if timed_out and stage.job.uid in timed_out:
                 # Lazily discard stages of client-abandoned jobs on pop.
                 continue
@@ -437,7 +322,6 @@ class DarisScheduler:
         job = stage.job
         job.state = JobState.FAILED
         self.metrics.record_failure(job)
-        self._backlogs[job.context_index].job_left(job.task.task_id, job.current_stage_index)
         self._active_jobs[job.context_index].pop(job.uid, None)
         self.admission.register_completion(job, job.context_index)
         self.platform.release_stream(context_index, stream_index)
@@ -453,7 +337,6 @@ class DarisScheduler:
         self._timed_out_jobs.add(job.uid)
         self.metrics.record_timeout(job)
         context = job.context_index
-        self._backlogs[context].job_left(job.task.task_id, job.current_stage_index)
         self._active_jobs[context].pop(job.uid, None)
         self.admission.register_completion(job, context)
 
@@ -493,14 +376,10 @@ class DarisScheduler:
                 )
             )
 
-        backlog = self._backlogs[job.context_index]
-        old_index = job.current_stage_index
-        job.current_stage_index = new_index = old_index + 1  # job.advance() inlined
+        job.current_stage_index = new_index = job.current_stage_index + 1  # job.advance() inlined
         if new_index >= job.num_stages:
-            backlog.job_left(task.task_id, old_index)
             self._complete_job(job, now)
         else:
-            backlog.job_advanced(task.task_id, old_index, new_index)
             next_stage = job.stages[new_index]
             next_stage.predecessor_missed = stage.missed_virtual_deadline
             next_context = self._next_stage_context(job, stage.context_index)
@@ -532,9 +411,6 @@ class DarisScheduler:
     def _move_active_job(self, job: Job, old_context: int, new_context: int) -> None:
         self._active_jobs[old_context].pop(job.uid, None)
         self._active_jobs[new_context][job.uid] = job
-        task_id = job.task.task_id
-        self._backlogs[old_context].job_left(task_id, job.current_stage_index)
-        self._backlogs[new_context].job_entered(task_id, job.current_stage_index)
         self.admission.register_completion(job, old_context)
         self.admission.register_admission(job, new_context)
         job.context_index = new_context

@@ -194,7 +194,6 @@ class PeriodicArrival(ArrivalProcess):
         if (
             self.jitter <= 0.0
             or self._rng is None
-            or not ReleaseStream.batched_draws_enabled
             or self._chunk_pos < len(self._chunk)
             or not math.isfinite(horizon)
         ):
@@ -236,8 +235,8 @@ class PoissonArrival(ArrivalProcess):
     """Memoryless arrival process with a given mean rate (jobs per second).
 
     When :attr:`chunk_safe` is set (the generator is exclusively owned, as
-    the per-task ``poisson-arrivals[i]`` streams are) and batched draws are
-    enabled, inter-arrival gaps are drawn in chunks:
+    the per-task ``poisson-arrivals[i]`` streams are), inter-arrival gaps are
+    drawn in chunks:
     ``rng.exponential(scale, size=k)`` is bitwise identical to ``k``
     successive scalar draws, and over-drawing an exclusive stream is
     unobservable, so the release times are unchanged draw-for-draw.
@@ -258,7 +257,7 @@ class PoissonArrival(ArrivalProcess):
         self._batch = 0
 
     def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe or not ReleaseStream.batched_draws_enabled:
+        if not self.chunk_safe:
             self._batch = 0
             return
         scale = 1000.0 / self.rate_jps
@@ -350,7 +349,7 @@ class MmppArrival(ArrivalProcess):
     discarded at a switch, which is statistically exact for exponential gaps
     and keeps generation deterministic per RNG stream.
 
-    Batched mode (exclusive stream + :attr:`ReleaseStream.batched_draws_enabled`)
+    With an exclusively owned stream (:attr:`chunk_safe`) the process
     pre-draws chunks of *standard* exponentials and applies the per-draw
     scale as a scalar multiply: ``rng.exponential(s)`` computes exactly
     ``rng.standard_exponential() * s``, so the interleaved dwell/gap draws
@@ -381,7 +380,7 @@ class MmppArrival(ArrivalProcess):
         self._batch = 0
 
     def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe or not ReleaseStream.batched_draws_enabled:
+        if not self.chunk_safe:
             self._batch = 0
             return
         if math.isfinite(horizon) and horizon > self._time:
@@ -401,10 +400,7 @@ class MmppArrival(ArrivalProcess):
         if pos < len(self._chunk):
             self._chunk_pos = pos + 1
             return self._chunk[pos]
-        batch = self._batch
-        if not batch:  # batching turned off with a drained chunk
-            return float(self._rng.standard_exponential())
-        self._chunk = self._rng.standard_exponential(size=batch).tolist()
+        self._chunk = self._rng.standard_exponential(size=self._batch).tolist()
         self._batch = self._REFILL
         self._chunk_pos = 1
         return self._chunk[0]
@@ -550,8 +546,6 @@ class DiurnalArrival(ArrivalProcess):
         # the exact inversion.
         self._buffered = (
             self.chunk_safe
-            and ReleaseStream.batched_draws_enabled
-            and DiurnalModulator.newton_enabled
             and self.profile.shape == "sin"
             and 0.0 < self.profile.amplitude <= 0.9
         )
@@ -859,13 +853,10 @@ class DiurnalModulator:
 
     Modulation is applied by time-rescaling through the cumulative profile,
     which needs no randomness and preserves event order for every base.
+    The sinusoidal profile inverts by a Newton-seeded crossing scan that
+    reproduces the 64-step bisection *bitwise* (see ``_sin_crossing``); the
+    bisection remains the runtime fallback.
     """
-
-    #: Class toggle: Newton-seeded inversion for the sinusoidal profile.
-    #: The 64-step reference bisection remains both the disabled path and
-    #: the runtime fallback; the Newton path reproduces its result *bitwise*
-    #: (see ``_sin_crossing``), so flipping the toggle never changes a trace.
-    newton_enabled: ClassVar[bool] = True
 
     period_ms: float = 1000.0
     amplitude: float = 0.5
@@ -924,11 +915,7 @@ class DiurnalModulator:
         """``Λ⁻¹``: the real time at which the cumulative factor hits ``target``."""
         period = self.period_ms
         if self.shape == "sin":
-            if (
-                DiurnalModulator.newton_enabled
-                and target > 0.0
-                and 0.0 < self.amplitude <= 0.9
-            ):
+            if target > 0.0 and 0.0 < self.amplitude <= 0.9:
                 result = self._sin_crossing(target, self._sin_newton(target))
                 if result is not None:
                     return result
@@ -1327,13 +1314,6 @@ class ReleaseStream:
 
     JITTER_STREAM = "release-jitter"
     AGGREGATE_STREAM = "batching-arrivals"
-
-    #: Class toggle for chunked RNG draws (poisson/mmpp gap chunks, the
-    #: bounded periodic-jitter chunk, the diurnal inverter's base buffer).
-    #: Chunked draws reproduce the scalar sequence bitwise, so flipping the
-    #: toggle never changes a release time; the reference scalar path is
-    #: kept for the equivalence tests.
-    batched_draws_enabled: bool = True
 
     def __init__(
         self,

@@ -3,8 +3,8 @@
 Covers the backend registry and protocol (validation, dispatch), the
 canonical backend configs (round-trips, kind dispatch), the WorkloadSpec
 vocabulary, the backward-compatible request fingerprints, the typed baseline
-results with their deprecation shims, and the migrated SOTA comparison
-(engine rows numerically equivalent to direct legacy baseline calls).
+results, and the migrated SOTA comparison (engine rows numerically equivalent
+to direct baseline calls).
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from repro.backends.configs import (
     config_from_dict,
 )
 from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
-from repro.baselines.clockwork import ClockworkServer
 from repro.baselines.gslice import GSliceServer
+from repro.baselines.results import accepted_miss_rate
 from repro.baselines.rtgpu import RtgpuScheduler
 from repro.baselines.single import SingleTenantExecutor
 from repro.cluster.config import ClusterConfig
+from repro.cluster.server import ClusterServer
 from repro.experiments.engine import run_cached_scenarios, run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
@@ -223,6 +224,21 @@ def test_backend_rejects_unsupported_workload():
     )
     with pytest.raises(BackendRequestError):
         get_backend("single").execute(request)
+
+
+@pytest.mark.parametrize("scheduler", ["daris", "rtgpu"])
+def test_daris_family_rejects_horizons_within_the_warmup(scheduler):
+    """The metrics exclude ``config.warmup_ms``; a horizon at or below it is
+    rejected up front instead of raising mid-run from the metrics layer."""
+    warmup = DARIS_CONFIG.warmup_ms
+    for horizon in (warmup, warmup / 2):
+        request = ScenarioRequest(
+            _taskset(), DARIS_CONFIG, horizon, scheduler=scheduler
+        )
+        with pytest.raises(BackendRequestError, match="warm-up"):
+            get_backend(scheduler).validate_request(request)
+    request = ScenarioRequest(_taskset(), DARIS_CONFIG, warmup + 1.0, scheduler=scheduler)
+    get_backend(scheduler).validate_request(request)
 
 
 def test_only_daris_records_traces():
@@ -432,28 +448,29 @@ def test_new_workload_kinds_run_deterministically_on_every_backend():
     assert covered == 15
 
 
-# ------------------------------------------------------- typed baseline shims
+# ------------------------------------------------------ typed baseline results
 
 
-def test_clockwork_typed_result_and_deprecated_mapping(resnet18):
+def _clockwork_metrics(taskset, **kwargs):
+    request = ScenarioRequest(
+        taskset, ClockworkConfig(), HORIZON, scheduler="clockwork", **kwargs
+    )
+    return get_backend("clockwork").execute(request).metrics
+
+
+def test_clockwork_backend_reports_single_gpu_metrics(resnet18):
     taskset = table2_taskset("resnet18", model=resnet18, scale=0.25)
-    outcome = ClockworkServer().run_taskset(taskset, HORIZON)
-    assert outcome.throughput_jps == outcome.metrics.total_jps
-    assert 0.0 <= outcome.drop_rate <= 1.0
-    with pytest.warns(DeprecationWarning):
-        legacy = outcome["throughput_jps"]
-    assert legacy == outcome.throughput_jps
-    with pytest.warns(DeprecationWarning):
-        assert set(outcome.keys()) == {
-            "throughput_jps", "drop_rate", "deadline_miss_rate", "mean_response_ms"
-        }
+    metrics = _clockwork_metrics(taskset)
+    assert metrics.total_jps > 0
+    assert 0.0 <= accepted_miss_rate(metrics) <= 1.0
+    # The one-GPU cluster underneath reports like any single-device backend.
+    assert metrics.gpu_breakdown is None
+    assert metrics.average_gpu_utilization == 0.0
 
 
-def test_gslice_typed_result_and_deprecated_mapping(resnet18):
+def test_gslice_typed_result(resnet18):
     outcome = GSliceServer([resnet18], batch_sizes=[4]).run_saturated(HORIZON)
     assert outcome.total_jps == pytest.approx(outcome.per_model_jps["resnet18"])
-    with pytest.warns(DeprecationWarning):
-        assert outcome["total"] == outcome.total_jps
 
 
 def test_single_tenant_run_is_still_a_float_with_metrics(resnet18):
@@ -476,32 +493,14 @@ def test_jps_result_survives_pickle_and_deepcopy(resnet18):
         assert clone.metrics == outcome.metrics
 
 
-def test_legacy_mapping_shim_covers_the_full_dict_surface(resnet18):
-    taskset = table2_taskset("resnet18", model=resnet18, scale=0.25)
-    outcome = ClockworkServer().run_taskset(taskset, HORIZON)
-    with pytest.warns(DeprecationWarning):
-        assert len(outcome) == 4
-    with pytest.warns(DeprecationWarning):
-        assert list(outcome.values()) == [
-            outcome.throughput_jps,
-            outcome.drop_rate,
-            outcome.deadline_miss_rate,
-            outcome.mean_response_ms,
-        ]
-    with pytest.warns(DeprecationWarning):
-        assert dict(outcome) == outcome.legacy_mapping()
-    with pytest.warns(DeprecationWarning):
-        assert outcome.get("nope", 0.0) == 0.0
-
-
-def test_batching_arrivals_typed_result_and_deprecated_mapping(resnet18):
+def test_batching_arrivals_typed_result(resnet18):
     server = BatchingServer(resnet18, batch_size=8)
     outcome = server.run_with_arrivals(
         arrival_rate_jps=100.0, deadline_ms=20.0, horizon_ms=HORIZON
     )
     assert outcome.completed == outcome.metrics.total_completed
-    with pytest.warns(DeprecationWarning):
-        assert outcome["deadline_miss_rate"] == outcome.deadline_miss_rate
+    assert outcome.throughput_jps == outcome.metrics.total_jps
+    assert outcome.deadline_miss_rate == outcome.metrics.overall_dmr
 
 
 # ------------------------------------------------------------ sota / the grid
@@ -551,8 +550,8 @@ def test_sota_engine_rows_match_legacy_direct_baseline_calls():
     assert gslice.total_jps == GSliceServer([model], batch_sizes=[16]).run_saturated(
         HORIZON
     ).total_jps
-    legacy_clockwork = ClockworkServer().run_taskset(taskset, HORIZON)
-    assert clockwork.total_jps == legacy_clockwork.throughput_jps
+    direct_clockwork = ClusterServer(ClusterConfig(num_gpus=1)).serve(taskset, HORIZON)
+    assert clockwork.total_jps == direct_clockwork.total_jps
     legacy_rtgpu = RtgpuScheduler(DarisConfig.mps_config(6, 6.0)).run_taskset(
         taskset, HORIZON, seed=seed
     )

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.backends import get_backend
+from repro.backends.configs import ClockworkConfig
 from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
-from repro.baselines.clockwork import ClockworkServer
 from repro.baselines.gslice import GSliceServer
+from repro.baselines.results import accepted_miss_rate
 from repro.baselines.rtgpu import RtgpuScheduler
 from repro.baselines.single import SingleTenantExecutor
+from repro.experiments.parallel import ScenarioRequest
 from repro.rt.taskset import make_taskset
 from repro.scheduler.config import DarisConfig
 
@@ -62,17 +65,18 @@ def test_batching_with_arrivals_reports_deadline_misses(resnet18):
     summary = server.run_with_arrivals(
         arrival_rate_jps=100.0, deadline_ms=20.0, horizon_ms=1000.0
     )
-    assert summary["completed"] > 0
-    assert summary["deadline_miss_rate"] > 0.2
+    assert summary.completed > 0
+    assert summary.deadline_miss_rate > 0.2
 
 
 def test_gslice_partitions_run_every_model(resnet18, unet):
     server = GSliceServer([resnet18, unet], batch_sizes=[8, 2])
     results = server.run_saturated(HORIZON)
-    assert results["resnet18"] > 0 and results["unet"] > 0
-    assert results["total"] == pytest.approx(results["resnet18"] + results["unet"])
+    per_model = results.per_model_jps
+    assert per_model["resnet18"] > 0 and per_model["unet"] > 0
+    assert results.total_jps == pytest.approx(per_model["resnet18"] + per_model["unet"])
     # Isolated halves cannot beat the whole-GPU batching baseline per model.
-    assert results["resnet18"] < 1025.0
+    assert per_model["resnet18"] < 1025.0
 
 
 def test_gslice_validation(resnet18):
@@ -82,22 +86,33 @@ def test_gslice_validation(resnet18):
         GSliceServer([resnet18], batch_sizes=[1, 2])
 
 
+def _clockwork(taskset):
+    request = ScenarioRequest(taskset, ClockworkConfig(), HORIZON, scheduler="clockwork")
+    return get_backend("clockwork").execute(request).metrics
+
+
+def _drop_rate(metrics):
+    """Requests rejected up front over requests released."""
+    released = metrics.high.released + metrics.low.released
+    return (metrics.high.rejected + metrics.low.rejected) / max(1, released)
+
+
 def test_clockwork_serves_feasible_load_without_misses(resnet18):
     taskset = make_taskset([resnet18], num_high=2, num_low=2, task_jps=20.0)
-    summary = ClockworkServer().run_taskset(taskset, HORIZON)
-    assert summary["throughput_jps"] > 0
-    assert summary["deadline_miss_rate"] <= 0.05
-    assert summary["drop_rate"] <= 0.05
+    metrics = _clockwork(taskset)
+    assert metrics.total_jps > 0
+    assert accepted_miss_rate(metrics) <= 0.05
+    assert _drop_rate(metrics) <= 0.05
 
 
 def test_clockwork_drops_when_overloaded(resnet18):
     taskset = make_taskset([resnet18], num_high=10, num_low=30, task_jps=30.0)
-    summary = ClockworkServer().run_taskset(taskset, HORIZON)
+    metrics = _clockwork(taskset)
     # One-DNN-at-a-time throughput is bounded by the single-stream rate, and
     # the excess demand is dropped up front rather than missed.
-    assert summary["throughput_jps"] < 700.0
-    assert summary["drop_rate"] > 0.3
-    assert summary["deadline_miss_rate"] < 0.2
+    assert metrics.total_jps < 700.0
+    assert _drop_rate(metrics) > 0.3
+    assert accepted_miss_rate(metrics) < 0.2
 
 
 def test_rtgpu_has_no_priority_differentiation(resnet18):

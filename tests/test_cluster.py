@@ -2,8 +2,7 @@
 
 Covers the ``ClusterConfig`` axis surface (validation, aliases, parse-time
 errors), the router policies (unit invariants plus an end-to-end dispatch
-invariant), single-GPU equivalence with the plain Clockwork backend,
-determinism and cache round-trips, GPU-targeted fault injection with router
+invariant), determinism and cache round-trips, GPU-targeted fault injection with router
 failover, queue migration, per-GPU telemetry serialization, the registered
 ``cluster`` experiment grid, and the text heatmap renderer the grid's rows
 feed.
@@ -248,35 +247,6 @@ def test_cluster_result_round_trips_through_serialization():
     restored = ScenarioResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert restored == result  # config, label, metrics incl. gpu_breakdown
     assert restored.metrics.gpu_breakdown == result.metrics.gpu_breakdown
-
-
-def test_single_gpu_cluster_reproduces_the_clockwork_backend():
-    """The 1-GPU cluster is the Clockwork loop behind a trivial router: its
-    buckets and per-task completions must match the plain backend exactly."""
-    taskset = _taskset()
-    base = dict(workload=POISSON_WORKLOAD, seed=7)
-    clockwork_request = ScenarioRequest(
-        taskset,
-        get_backend("clockwork").config_type(),
-        HORIZON,
-        scheduler="clockwork",
-        **base,
-    )
-    clockwork = get_backend("clockwork").execute(clockwork_request).metrics
-    with pytest.warns(UserWarning):
-        cluster_request = ScenarioRequest(
-            taskset,
-            ClusterConfig(num_gpus=1),
-            HORIZON,
-            scheduler="cluster",
-            **base,
-        )
-        cluster = get_backend("cluster").execute(cluster_request).metrics
-    assert cluster.high == clockwork.high
-    assert cluster.low == clockwork.low
-    assert cluster.per_task_completed == clockwork.per_task_completed
-    assert cluster.total_jps == clockwork.total_jps
-    assert cluster.gpu_breakdown is not None and len(cluster.gpu_breakdown) == 1
 
 
 # ------------------------------------------------------------------ faults

@@ -1,20 +1,12 @@
-"""Equivalence and infrastructure tests for the simulation fast paths.
+"""Engagement and infrastructure tests for the simulation fast paths.
 
-The GPU engine's incremental replanning, the scheduler's incremental MRET
-backlog and the simulator's heap compaction are pure optimizations: for a
-fixed seed they must not change a single trace record.  These tests pin that
-guarantee by running the same scenario with the fast paths enabled (default)
-and disabled (reference behavior) and comparing the complete
-``StageTraceRecord`` / ``JobTraceRecord`` streams and the final
-``ScenarioMetrics``.
-
-Scope of the guarantee: the engine and simulator fast paths replicate the
-reference floating-point operations exactly (bitwise).  The incremental MRET
-backlog sums the same terms in a different order, so its prediction can
-differ from the reference scan in the last ulp (see ``_ContextBacklog``); a
-trace divergence would additionally require that rounding error to flip an
-admission comparison that carries an explicit 1e-9 slack.  The trace-identity
-test below pins representative scenarios end to end.
+The GPU engine's incremental replanning, the cluster's ledger dispatch and
+the simulator's heap compaction are pure optimizations: for a fixed seed
+they must not change a single result.  ``tests/test_golden_digests.py`` pins
+that end to end against digests recorded before the reference paths were
+deleted; the tests here check that the fast paths actually engage, that the
+cluster's ledger routing agrees with the view-based routing it falls back
+to, and the simulator/runner infrastructure around them.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ from repro.cluster import ClusterConfig, ClusterServer
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
 from repro.experiments.runner import run_daris_scenario
-from repro.experiments.scenarios import named_fault
 from repro.gpu.engine import GpuEngine
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
@@ -33,22 +24,7 @@ from repro.scheduler.daris import DarisScheduler
 from repro.sim.faults import FaultSpec
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
-from repro.sim.workload import (
-    POISSON_WORKLOAD,
-    DiurnalModulator,
-    ReleaseStream,
-    WorkloadSpec,
-)
-
-
-@pytest.fixture
-def reference_mode():
-    """Disable every fast path, restoring the unoptimized reference behavior."""
-    GpuEngine.fast_path_enabled = False
-    DarisScheduler.incremental_backlog_enabled = False
-    yield
-    GpuEngine.fast_path_enabled = True
-    DarisScheduler.incremental_backlog_enabled = True
+from repro.sim.workload import POISSON_WORKLOAD
 
 
 def _run_traced(seed: int = 1, horizon: float = 1000.0):
@@ -61,21 +37,7 @@ def _run_traced(seed: int = 1, horizon: float = 1000.0):
     )
 
 
-# --------------------------------------------------------------- equivalence
-
-
-def test_fast_path_produces_identical_traces(reference_mode):
-    """Optimized and reference schedulers emit bit-identical trace streams."""
-    reference = _run_traced()
-
-    GpuEngine.fast_path_enabled = True
-    DarisScheduler.incremental_backlog_enabled = True
-    optimized = _run_traced()
-
-    assert len(optimized.trace.stage_records) == len(reference.trace.stage_records)
-    assert optimized.trace.stage_records == reference.trace.stage_records
-    assert optimized.trace.job_records == reference.trace.job_records
-    assert optimized.metrics == reference.metrics
+# ---------------------------------------------------------------- engagement
 
 
 def test_fast_path_actually_engages():
@@ -106,145 +68,6 @@ def test_fast_path_actually_engages():
     scheduler.run(800.0)
     engine = scheduler.platform.engine
     assert engine.full_replans > 0
-
-
-def test_incremental_backlog_matches_reference_scan():
-    """The O(tasks x stages) backlog equals the O(queue) reference scan."""
-    simulator = Simulator()
-    scheduler = DarisScheduler(
-        simulator,
-        table2_taskset("resnet18"),
-        DarisConfig.mps_config(6, 6.0),
-        rng=RngFactory(3),
-    )
-    scheduler.start(700.0)
-    checked = 0
-    while True:
-        next_time = simulator.peek_next_time()
-        if next_time is None or next_time > 700.0:
-            break
-        simulator.run(max_events=50)
-        for context in range(scheduler.config.num_contexts):
-            incremental = scheduler._predicted_finish(context)
-            reference = scheduler._predicted_finish_reference(context)
-            assert incremental == pytest.approx(reference, rel=1e-9, abs=1e-9)
-            checked += 1
-    assert checked > 0
-
-
-# ----------------------------------------------------------- toggle matrix
-#
-# Every optimization tier introduced by the vectorized-substrate work hides
-# behind a class-level toggle.  The matrix below runs one adversarial
-# scenario — stochastic arrivals with jitter and a diurnal profile, under the
-# ``storm`` fault profile — once per toggle configuration and requires the
-# complete trace streams to be bit-identical.  The scenario deliberately
-# exercises every toggled code path at once: batched release draws, the
-# Newton diurnal inversion, the engine fast path and chunked noise draws.
-
-_SUBSTRATE_TOGGLES = (
-    (GpuEngine, "fast_path_enabled"),
-    (GpuEngine, "vectorized_enabled"),
-    (GpuEngine, "batched_noise_enabled"),
-    (ReleaseStream, "batched_draws_enabled"),
-    (DiurnalModulator, "newton_enabled"),
-)
-
-
-@pytest.fixture
-def toggle_guard():
-    """Snapshot and restore every substrate toggle around a test."""
-    saved = [(owner, name, getattr(owner, name)) for owner, name in _SUBSTRATE_TOGGLES]
-    yield
-    for owner, name, value in saved:
-        setattr(owner, name, value)
-
-
-def _set_substrate_toggles(enabled: bool) -> None:
-    for owner, name in _SUBSTRATE_TOGGLES:
-        setattr(owner, name, enabled)
-
-
-def _run_storm_traced(config=None, workload=None, seed: int = 7):
-    return run_daris_scenario(
-        table2_taskset("resnet18"),
-        config if config is not None else DarisConfig.mps_config(6, 6.0),
-        1000.0,
-        seed=seed,
-        with_trace=True,
-        workload=workload
-        if workload is not None
-        else WorkloadSpec("poisson", jitter_ms=0.4).with_diurnal(period_ms=600.0, amplitude=0.6),
-        faults=named_fault("storm"),
-    )
-
-
-def _assert_same_run(left, right):
-    assert left.trace.stage_records == right.trace.stage_records
-    assert left.trace.job_records == right.trace.job_records
-    assert left.metrics == right.metrics
-
-
-def test_toggle_matrix_all_off_matches_all_on_under_storm(toggle_guard):
-    """Reference (all toggles off) and optimized (all on) traces are identical
-    on a fault-injected, jittered, diurnal poisson scenario."""
-    _set_substrate_toggles(True)
-    optimized = _run_storm_traced()
-    _set_substrate_toggles(False)
-    reference = _run_storm_traced()
-    assert len(optimized.trace.stage_records) > 0
-    _assert_same_run(optimized, reference)
-
-
-@pytest.mark.parametrize("toggle_index", range(len(_SUBSTRATE_TOGGLES)))
-def test_toggle_matrix_each_toggle_alone_is_neutral(toggle_guard, toggle_index):
-    """Disabling any single tier while the rest stay on changes nothing —
-    localizes a divergence to one tier instead of the whole matrix."""
-    _set_substrate_toggles(True)
-    optimized = _run_storm_traced()
-    owner, name = _SUBSTRATE_TOGGLES[toggle_index]
-    setattr(owner, name, False)
-    single_off = _run_storm_traced()
-    _assert_same_run(optimized, single_off)
-
-
-def test_vector_tier_wide_config_trace_identical(toggle_guard):
-    """A 32-stream config pushes the running set past the vector-tier
-    threshold; the contiguous-array tier and the array water fill must leave
-    the trace untouched."""
-    config = DarisConfig.str_config(32)
-    workload = WorkloadSpec("poisson")
-    _set_substrate_toggles(True)
-    vectorized = _run_storm_traced(config=config, workload=workload)
-    GpuEngine.vectorized_enabled = False
-    scalar = _run_storm_traced(config=config, workload=workload)
-    _assert_same_run(vectorized, scalar)
-
-
-def test_vector_tier_actually_engages(toggle_guard):
-    """The wide-config scenario genuinely enters the numpy tier (and the
-    fault-free narrow config never does)."""
-    _set_substrate_toggles(True)
-    simulator = Simulator()
-    scheduler = DarisScheduler(
-        simulator,
-        table2_taskset("resnet18"),
-        DarisConfig.str_config(32),
-        rng=RngFactory(1),
-        workload=WorkloadSpec("poisson"),
-    )
-    scheduler.run(800.0)
-    assert scheduler.platform.engine.vector_engagements > 0
-
-    simulator = Simulator()
-    scheduler = DarisScheduler(
-        simulator,
-        table2_taskset("resnet18"),
-        DarisConfig.mps_config(6, 6.0),
-        rng=RngFactory(1),
-    )
-    scheduler.run(800.0)
-    assert scheduler.platform.engine.vector_engagements == 0
 
 
 # ---------------------------------------------------------- heap compaction
@@ -378,26 +201,20 @@ def test_parallel_runner_unordered_mode_returns_request_order():
         assert left.metrics == right.metrics
 
 
-# ------------------------------------------------- cluster indexed dispatch
+# ---------------------------------------------------- cluster ledger dispatch
 #
-# The O(1) indexed-dispatch tier (heap/bisect routing index, incremental
-# migration trigger, memoized task profiles) must answer every routing and
-# migration question exactly as the PR 9 reference scan would — same floats,
-# same tie-breaks, same epsilon.  These tests pin the full router x placement
-# x targeted-fault x migration matrix bit-identical between the tiers, per
-# seed, by comparing complete ``ScenarioMetrics`` (deep dataclass equality
+# The dispatch ledger (heap/bisect routing index, incremental migration
+# trigger) must answer every routing question exactly as the router
+# policies' ``select`` scans over ``GpuLoadView`` tuples would — same floats,
+# same tie-breaks, same epsilon.  The view path stays in the server for the
+# ``on_dispatch`` observer and for degraded windows, so an observed run
+# routes every release through it; these tests pin the router x placement x
+# targeted-fault x migration matrix bit-identical between the two, per seed,
+# by comparing complete ``ScenarioMetrics`` (deep dataclass equality
 # including the per-request response-time lists and the per-GPU breakdown).
 
 
-@pytest.fixture
-def cluster_toggle_guard():
-    """Snapshot and restore the cluster dispatch toggle around a test."""
-    saved = ClusterServer.indexed_dispatch_enabled
-    yield
-    ClusterServer.indexed_dispatch_enabled = saved
-
-
-def _serve_cluster_traced(cfg_kwargs, faults=None, seed=3):
+def _serve_cluster_traced(cfg_kwargs, faults=None, seed=3, on_dispatch=None):
     model = build_model("resnet18")
     taskset = make_taskset(
         [model], num_high=3, num_low=5, task_jps=40.0, name="cluster-eq"
@@ -409,6 +226,7 @@ def _serve_cluster_traced(cfg_kwargs, faults=None, seed=3):
         workload=POISSON_WORKLOAD,
         rng=RngFactory(seed),
         faults=faults,
+        on_dispatch=on_dispatch,
     )
     return metrics, server.indexed_engagements
 
@@ -451,24 +269,21 @@ _CLUSTER_MATRIX = (
     [(kwargs, faults) for _, kwargs, faults in _CLUSTER_MATRIX],
     ids=[label for label, _, _ in _CLUSTER_MATRIX],
 )
-def test_cluster_indexed_dispatch_trace_identical(
-    cluster_toggle_guard, cfg_kwargs, faults
-):
-    """Indexed tier on vs off: merged metrics are bit-identical per seed."""
+def test_cluster_indexed_dispatch_trace_identical(cfg_kwargs, faults):
+    """Ledger routing vs view routing: merged metrics are bit-identical per seed."""
     for seed in (3, 11):
-        ClusterServer.indexed_dispatch_enabled = True
         fast, engaged = _serve_cluster_traced(cfg_kwargs, faults, seed=seed)
-        ClusterServer.indexed_dispatch_enabled = False
-        reference, ref_engaged = _serve_cluster_traced(cfg_kwargs, faults, seed=seed)
-        assert fast == reference
+        viewed, view_engaged = _serve_cluster_traced(
+            cfg_kwargs, faults, seed=seed, on_dispatch=lambda *_: None
+        )
+        assert fast == viewed
         assert engaged > 0
-        assert ref_engaged == 0
+        assert view_engaged == 0
 
 
-def test_cluster_indexed_dispatch_actually_engages(cluster_toggle_guard):
+def test_cluster_indexed_dispatch_actually_engages():
     """Fault-free runs resolve every dispatch through the index; targeted
-    faults drop to the reference view path only inside degraded windows."""
-    ClusterServer.indexed_dispatch_enabled = True
+    faults fall back to view routing only inside degraded windows."""
     metrics, engaged = _serve_cluster_traced(dict(num_gpus=4, router="least_loaded"))
     dispatches = (
         metrics.high.admitted
@@ -486,11 +301,10 @@ def test_cluster_indexed_dispatch_actually_engages(cluster_toggle_guard):
     assert 0 < engaged_faulted < engaged
 
 
-def test_cluster_on_dispatch_hook_forces_reference_views(cluster_toggle_guard):
-    """An observed run builds reference views even with the tier enabled, so
-    the hook sees exactly what a reference router saw — and the observed
-    choices match the indexed run's telemetry."""
-    ClusterServer.indexed_dispatch_enabled = True
+def test_cluster_on_dispatch_hook_forces_reference_views():
+    """An observed run builds router views for every dispatch, so the hook
+    sees exactly what the router policy saw — and the observed choices match
+    the run's telemetry."""
     observed = []
     model = build_model("resnet18")
     taskset = make_taskset([model], num_high=2, num_low=2, task_jps=30.0, name="hook")
@@ -502,7 +316,7 @@ def test_cluster_on_dispatch_hook_forces_reference_views(cluster_toggle_guard):
         rng=RngFactory(5),
         on_dispatch=lambda now, name, chosen, views: observed.append((chosen, views)),
     )
-    assert server.indexed_engagements == 0  # hook pins the reference path
+    assert server.indexed_engagements == 0  # the hook pins view routing
     assert len(observed) > 0
     for chosen, views in observed:
         eligible = [v for v in views if v.alive] or list(views)
