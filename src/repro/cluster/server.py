@@ -43,6 +43,7 @@ from repro.cluster.router import GpuLoadView, RoundRobinRouter, make_router
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.platform import GpuPlatform, PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
+from repro.numeric import left_sum
 from repro.rt.metrics import FaultImpact, GpuTelemetry, PriorityMetrics, ScenarioMetrics
 from repro.rt.task import Priority
 from repro.rt.taskset import TaskSetSpec
@@ -392,7 +393,7 @@ def _merged_impact(
         downtime += float(summary["downtime_ms"])
         if summary["time_to_recover_ms"] is not None:
             recover_means.append(float(summary["time_to_recover_ms"]))
-    recover = sum(recover_means) / len(recover_means) if recover_means else None
+    recover = left_sum(recover_means) / len(recover_means) if recover_means else None
     return FaultImpact(
         episodes=episodes, downtime_ms=downtime, time_to_recover_ms=recover
     )
@@ -630,7 +631,7 @@ class ClusterServer:
         self.indexed_engagements = engagements
 
         breakdown = tuple(worker.telemetry() for worker in workers)
-        utilization = sum(gpu.utilization for gpu in breakdown) / len(breakdown)
+        utilization = left_sum(gpu.utilization for gpu in breakdown) / len(breakdown)
         return ScenarioMetrics.from_priority_metrics(
             horizon_ms,
             high=per_priority[Priority.HIGH],

@@ -28,6 +28,7 @@ from typing import List
 from repro.dnn.model import DnnModel
 from repro.dnn.stage import StageSpec
 from repro.gpu.kernel import KernelSpec
+from repro.numeric import left_sum
 
 _REFERENCE_BATCH = 16
 
@@ -90,7 +91,7 @@ def batched_kernel_specs(model: DnnModel, batch_size: int) -> List[KernelSpec]:
 def batched_latency_ms(model: DnnModel, batch_size: int) -> float:
     """Latency of one batch alone on the full GPU (kernel time plus launch gaps)."""
     stages = batched_stage_specs(model, batch_size)
-    compute = sum(stage.isolated_duration_ms(model.gpu.num_sms) for stage in stages)
+    compute = left_sum(stage.isolated_duration_ms(model.gpu.num_sms) for stage in stages)
     return compute + model.launch_gap_ms()
 
 

@@ -38,6 +38,7 @@ from repro.dnn.profiles import DnnProfile
 from repro.dnn.stage import StageSpec
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
+from repro.numeric import left_sum
 
 _MIN_PARALLELISM = 1.0
 
@@ -95,7 +96,7 @@ class DnnModel:
     @property
     def total_work(self) -> float:
         """Total compute demand of one inference in SM-milliseconds."""
-        return sum(stage.work for stage in self.stages)
+        return left_sum(stage.work for stage in self.stages)
 
     @property
     def total_kernels(self) -> int:
@@ -108,7 +109,7 @@ class DnnModel:
 
     def compute_latency_ms(self) -> float:
         """Kernel execution time of one inference alone on the full GPU (gaps excluded)."""
-        return sum(stage.isolated_duration_ms(self.gpu.num_sms) for stage in self.stages)
+        return left_sum(stage.isolated_duration_ms(self.gpu.num_sms) for stage in self.stages)
 
     def isolated_latency_ms(self, calibration: GpuCalibration = DEFAULT_CALIBRATION) -> float:
         """Latency of one inference running alone on the full GPU (gaps included)."""
@@ -130,8 +131,8 @@ class DnnModel:
         """Return a single-stage version of this model (the "No Staging" ablation)."""
         total_work = self.total_work
         total_kernels = self.total_kernels
-        weighted_parallelism = sum(s.work * s.parallelism for s in self.stages) / total_work
-        weighted_memory = sum(s.work * s.memory_intensity for s in self.stages) / total_work
+        weighted_parallelism = left_sum(s.work * s.parallelism for s in self.stages) / total_work
+        weighted_memory = left_sum(s.work * s.memory_intensity for s in self.stages) / total_work
         merged_stage = StageSpec(
             name=f"{self.name}/whole",
             index=0,
@@ -145,12 +146,12 @@ class DnnModel:
 
 def _stage_aggregates(stage_layers: Sequence[LayerSpec]) -> tuple:
     """Raw (work, width, kernel count, memory intensity) of a group of layers."""
-    raw_work = sum(layer.flops_m for layer in stage_layers)
+    raw_work = left_sum(layer.flops_m for layer in stage_layers)
     if raw_work <= 0:
         raw_work = 1e-6
-    width = sum(layer.flops_m * layer.relative_width for layer in stage_layers) / raw_work
+    width = left_sum(layer.flops_m * layer.relative_width for layer in stage_layers) / raw_work
     kernels = sum(layer.kernel_count for layer in stage_layers)
-    memory = sum(layer.memory_mb for layer in stage_layers)
+    memory = left_sum(layer.memory_mb for layer in stage_layers)
     return raw_work, width, kernels, memory
 
 
@@ -177,7 +178,7 @@ def calibrate_model(
     isolated_latency = profile.isolated_latency_ms
     mean_parallelism = profile.occupancy_fraction * gpu.num_sms
     target_total_work = isolated_latency * mean_parallelism
-    work_scale = target_total_work / sum(raw_works)
+    work_scale = target_total_work / left_sum(raw_works)
     works = [raw * work_scale for raw in raw_works]
 
     # The kernel execution time is the isolated latency minus the launch gaps
@@ -208,7 +209,7 @@ def calibrate_model(
     # Memory intensity: distribute the profile-level intensity across stages
     # proportionally to their per-work memory traffic.
     mem_per_work = [mb / max(w, 1e-9) for mb, w in zip(memory_mbs, works)]
-    mean_mem_per_work = sum(m * w for m, w in zip(mem_per_work, works)) / sum(works)
+    mean_mem_per_work = left_sum(m * w for m, w in zip(mem_per_work, works)) / left_sum(works)
     stages: List[StageSpec] = []
     for index, (work, width, kernels, mem_ratio) in enumerate(
         zip(works, raw_widths, kernel_counts, mem_per_work)

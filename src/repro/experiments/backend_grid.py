@@ -37,6 +37,7 @@ from repro.experiments.registry import (
     register,
 )
 from repro.experiments.scenarios import best_config_for, named_workload
+from repro.numeric import left_sum
 from repro.rt.taskset import make_taskset
 from repro.sim.workload import POISSON_WORKLOAD, SATURATED_WORKLOAD
 
@@ -161,7 +162,7 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
                     "config": result.label,
                     "jps": round(metrics.total_jps, 1),
                     "dmr": round(metrics.overall_dmr, 4),
-                    "mean_resp_ms": round(sum(responses) / len(responses), 3)
+                    "mean_resp_ms": round(left_sum(responses) / len(responses), 3)
                     if responses
                     else "-",
                 }

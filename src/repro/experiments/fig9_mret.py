@@ -28,6 +28,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import run_daris_scenario
 from repro.experiments.scenarios import best_config_for, horizon_ms, worst_dmr_config
+from repro.numeric import left_sum
 from repro.rt.taskset import table2_taskset
 
 
@@ -59,14 +60,16 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
                 {
                     "config": label,
                     "jobs_traced": len(series),
-                    "mean_exec_ms": round(sum(executions) / len(executions), 3)
+                    "mean_exec_ms": round(left_sum(executions) / len(executions), 3)
                     if executions
                     else 0.0,
                     "max_exec_ms": round(max(executions), 3) if executions else 0.0,
-                    "mean_mret_ms": round(sum(predictions) / len(predictions), 3)
+                    "mean_mret_ms": round(left_sum(predictions) / len(predictions), 3)
                     if predictions
                     else 0.0,
-                    "mean_abs_error_ms": round(sum(errors) / len(errors), 3) if errors else 0.0,
+                    "mean_abs_error_ms": round(left_sum(errors) / len(errors), 3)
+                    if errors
+                    else 0.0,
                     "underprediction_rate": round(trace.underprediction_rate(task_name), 3),
                     "lp_dmr": round(result.lp_dmr, 4),
                     "total_jps": round(result.total_jps, 1),

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.numeric import left_sum
+
 
 def water_fill(capacity: float, demands: Sequence[float]) -> List[float]:
     """Distribute ``capacity`` across ``demands`` fairly.
@@ -102,10 +104,10 @@ def allocate_sms(
         allocations = water_fill(quota, demands)
         per_context_alloc[context_id] = allocations
         per_context_uids[context_id] = uids
-        context_demand[context_id] = sum(allocations)
+        context_demand[context_id] = left_sum(allocations)
         context_concurrency[context_id] = len(kernels)
 
-    total_demand = sum(context_demand.values())
+    total_demand = left_sum(context_demand.values())
     pressure = total_demand / num_sms if num_sms else 0.0
     scale = 1.0
     if total_demand > num_sms:

@@ -41,6 +41,7 @@ from repro.gpu.context import Context
 from repro.gpu.kernel import KernelInstance, KernelSpec, KernelState
 from repro.gpu.spec import GpuSpec
 from repro.gpu.stream import Stream
+from repro.numeric import left_sum
 from repro.sim.events import next_sequence
 from repro.sim.simulator import Simulator
 
@@ -648,7 +649,7 @@ class GpuEngine:
                 ctx_alloc[cid] = ([demand], demand)
                 continue
             allocations = water_fill(self._quotas[cid], [k.clipped_demand for k in kernels])
-            ctx_alloc[cid] = (allocations, sum(allocations))
+            ctx_alloc[cid] = (allocations, left_sum(allocations))
 
         num_sms = self._num_sms
         total_demand = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.numeric import left_sum
 from repro.rt.task import Job
 
 
@@ -33,13 +34,13 @@ def virtual_deadline_shares(mret_per_stage: Sequence[float], relative_deadline: 
         raise ValueError("at least one stage is required")
     if any(value < 0 for value in mret_per_stage):
         raise ValueError("MRET values must be non-negative")
-    total = sum(mret_per_stage)
+    total = left_sum(mret_per_stage)
     count = len(mret_per_stage)
     if total <= 0:
         shares = [relative_deadline / count] * count
     else:
         shares = [relative_deadline * (value / total) for value in mret_per_stage]
-    shares[-1] = max(0.0, relative_deadline - sum(shares[:-1]))
+    shares[-1] = max(0.0, relative_deadline - left_sum(shares[:-1]))
     return shares
 
 

@@ -122,6 +122,9 @@ class TaskTimingModel:
         """Task-level MRET (Equation 2), cached between observations."""
         cached = self._cached_total
         if cached is None:
-            cached = sum(estimator.value() for estimator in self._estimators)
+            # Inlined repro.numeric.left_sum: this runs on every dispatch.
+            cached = 0
+            for estimator in self._estimators:
+                cached += estimator.value()
             self._cached_total = cached
         return cached

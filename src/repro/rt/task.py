@@ -244,10 +244,12 @@ class Job:
 
     def remaining_mret(self) -> float:
         """Sum of MRET of the stages that have not completed yet."""
-        return sum(
-            self.task.timing.stage_value(i)
-            for i in range(self.current_stage_index, len(self.stages))
-        )
+        # Inlined repro.numeric.left_sum: this runs on every dispatch.
+        stage_value = self.task.timing.stage_value
+        total = 0
+        for i in range(self.current_stage_index, len(self.stages)):
+            total += stage_value(i)
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Job({self.task.name}#{self.index}, state={self.state.value})"

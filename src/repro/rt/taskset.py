@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dnn.model import DnnModel
 from repro.dnn.zoo import build_model
+from repro.numeric import left_sum
 from repro.rt.task import Priority, TaskSpec
 
 
@@ -82,11 +83,11 @@ class TaskSetSpec:
     @property
     def total_demand_jps(self) -> float:
         """Total demanded throughput in inferences per second (batches count batch_size)."""
-        return sum(task.batch_size * 1000.0 / task.period_ms for task in self.tasks)
+        return left_sum(task.batch_size * 1000.0 / task.period_ms for task in self.tasks)
 
     def demand_jps(self, priority: Priority) -> float:
         """Demanded inference throughput of one priority level."""
-        return sum(
+        return left_sum(
             task.batch_size * 1000.0 / task.period_ms
             for task in self.tasks
             if task.priority is priority

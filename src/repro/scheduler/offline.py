@@ -18,6 +18,7 @@ from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.mps import sm_quota
 from repro.gpu.platform import PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
+from repro.numeric import left_sum
 from repro.rt.afet import estimate_afet_analytic, profile_afet
 from repro.rt.task import Priority, Task
 from repro.scheduler.config import DarisConfig
@@ -77,9 +78,9 @@ def _match_stage_count(afets: List[float], task: Task) -> List[float]:
     if len(afets) == task.num_stages:
         return afets
     if task.num_stages == 1:
-        return [sum(afets)]
+        return [left_sum(afets)]
     # Fallback: spread the total uniformly; only reachable with custom stagings.
-    total = sum(afets)
+    total = left_sum(afets)
     return [total / task.num_stages] * task.num_stages
 
 

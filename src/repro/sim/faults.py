@@ -38,6 +38,7 @@ from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple, Typ
 
 import numpy as np
 
+from repro.numeric import left_sum
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 
@@ -678,9 +679,9 @@ class FaultInjector:
         episodes = list(self._episodes)
         if self._active > 0 and self._simulator is not None:
             episodes.append((self._episode_start, self._simulator.now))
-        downtime = sum(end - start for start, end in episodes)
+        downtime = left_sum(end - start for start, end in episodes)
         recover = (
-            float(sum(self._recoveries) / len(self._recoveries)) if self._recoveries else None
+            float(left_sum(self._recoveries) / len(self._recoveries)) if self._recoveries else None
         )
         return {
             "episodes": len(episodes),

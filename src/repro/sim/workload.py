@@ -51,6 +51,7 @@ from typing import (
 
 import numpy as np
 
+from repro.numeric import left_sum
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 
@@ -386,8 +387,8 @@ class MmppArrival(ArrivalProcess):
         if math.isfinite(horizon) and horizon > self._time:
             # One draw per arrival plus two per phase switch, at the
             # time-averaged rates; the estimate only sizes the first chunk.
-            mean_rate = sum(self.rates_jps) / len(self.rates_jps)
-            mean_dwell = sum(self.dwell_ms) / len(self.dwell_ms)
+            mean_rate = left_sum(self.rates_jps) / len(self.rates_jps)
+            mean_dwell = left_sum(self.dwell_ms) / len(self.dwell_ms)
             span = horizon - self._time
             expected = span * mean_rate / 1000.0 + 2.0 * span / mean_dwell
             self._batch = int(expected * 1.05) + 64
@@ -883,7 +884,7 @@ class DiurnalModulator:
                 raise ValueError("piecewise levels must be non-negative (>= 1 level)")
             if not any(level > 0 for level in self.levels):
                 raise ValueError("at least one piecewise level must be positive")
-            mean = sum(self.levels) / len(self.levels)
+            mean = left_sum(self.levels) / len(self.levels)
             normalized = tuple(level / mean for level in self.levels)
         # Cached mean-1 normalization: consulted once per generated arrival,
         # so it must not be recomputed per event.  Not a dataclass field —

@@ -6,10 +6,13 @@ their stage and job trace records.  The values below were recorded with
 CPython 3.11 and numpy 2.4.6, before the engine's numpy tier, the
 incremental MRET backlog, the reference cluster dispatch path and the
 standalone Clockwork loop were deleted, so they pin that the remaining code
-produces the traces those paths produced.  The CI lanes that run this suite
-pin both versions: a numpy RNG-stream change, or CPython 3.12's compensated
-float ``sum()``, moves last-ulp results, and should show up as a deliberate
-pin bump rather than as a red golden test.
+produces the traces those paths produced.
+
+Float sums that feed results add left to right (``repro.numeric``), so the
+digests do not depend on the CPython version even though 3.12's builtin
+``sum()`` rounds differently.  They do depend on numpy's RNG streams: the CI
+lanes that run this suite pin numpy 2.4.6, so a stream change shows up as a
+deliberate pin bump rather than as a red golden test.
 
 The matrix:
 
@@ -26,10 +29,12 @@ The matrix:
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 from typing import Callable, Dict
 
+import numpy as np
 import pytest
 
 from repro.backends import get_backend
@@ -45,6 +50,9 @@ from repro.sim.rng import RngFactory
 from repro.sim.workload import POISSON_WORKLOAD, WorkloadSpec
 
 HORIZON_MS = 1000.0
+
+#: The numpy version the digests were recorded with.
+RECORDED_NUMPY = "2.4.6"
 
 #: Named backends in registry order (the cluster backend runs its default
 #: two-GPU config).
@@ -141,8 +149,8 @@ def _clockwork(slack: float, fault: str) -> str:
 
 # ----------------------------------------------------------------- cluster
 
-#: Frozen with the digests (``tests/test_perf_equivalence.py`` keeps its own
-#: copy, free to change): editing a row means recording its digests again.
+#: Frozen with the digests (``tests/test_perf_equivalence.py`` runs the same
+#: rows): editing a row means recording its digests again.
 CLUSTER_MATRIX: Dict[str, tuple] = {
     "least_loaded": (dict(num_gpus=4, router="least_loaded"), None),
     "round_robin": (dict(num_gpus=4, router="round_robin"), None),
@@ -406,4 +414,40 @@ def test_golden_matrix_covers_every_pinned_scenario():
 
 @pytest.mark.parametrize("scenario", list(GOLDEN_DIGESTS))
 def test_golden_digest(scenario):
+    assert scenarios()[scenario]() == GOLDEN_DIGESTS[scenario], (
+        f"results moved (digests recorded with numpy {RECORDED_NUMPY}, "
+        f"running numpy {np.__version__})"
+    )
+
+
+def _compensated_sum(values, start=0):
+    """Float ``sum()`` as CPython 3.12 computes it (Neumaier compensation)."""
+    total, compensation = start, 0.0
+    for value in values:
+        if type(value) is float and type(total) is float:
+            partial = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - partial) + value
+            else:
+                compensation += (value - partial) + total
+            total = partial
+        else:
+            total = total + value
+    return total + compensation if compensation else total
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "daris-traced/str32-poisson/seed1",
+        "backend/rtgpu/bursty/none",
+        "backend/single/saturated/none",
+        "clockwork/slack0.8/storm",
+        "cluster/targeted-crash/seed11",
+    ],
+)
+def test_golden_digest_holds_under_compensated_sum(scenario, monkeypatch):
+    """Each of these digests moved at the parent commit when ``sum()``
+    compensated; results must not depend on how the interpreter sums."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert scenarios()[scenario]() == GOLDEN_DIGESTS[scenario]
