@@ -26,6 +26,8 @@ from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 from repro.sim.workload import POISSON_WORKLOAD
 
+from test_golden_digests import CLUSTER_MATRIX
+
 
 def _run_traced(seed: int = 1, horizon: float = 1000.0):
     return run_daris_scenario(
@@ -231,43 +233,8 @@ def _serve_cluster_traced(cfg_kwargs, faults=None, seed=3, on_dispatch=None):
     return metrics, server.indexed_engagements
 
 
-_CLUSTER_MATRIX = (
-    ("least_loaded", dict(num_gpus=4, router="least_loaded"), None),
-    ("round_robin", dict(num_gpus=4, router="round_robin"), None),
-    ("deadline_aware", dict(num_gpus=4, router="deadline_aware"), None),
-    (
-        "partitioned",
-        dict(num_gpus=4, router="least_loaded", placement="partitioned"),
-        None,
-    ),
-    (
-        "partitioned-migration",
-        dict(
-            num_gpus=4,
-            router="deadline_aware",
-            placement="partitioned",
-            migration_backlog=2,
-            migration_window_ms=40.0,
-        ),
-        None,
-    ),
-    (
-        "targeted-crash",
-        dict(num_gpus=4, router="least_loaded"),
-        FaultSpec.crashes(mtbf_ms=100.0, recovery_ms=60.0).targeting(1),
-    ),
-    (
-        "targeted-throttle",
-        dict(num_gpus=4, router="deadline_aware"),
-        FaultSpec.throttle(period_ms=120.0, duration_ms=50.0, factor=0.5).targeting(0),
-    ),
-)
-
-
 @pytest.mark.parametrize(
-    ("cfg_kwargs", "faults"),
-    [(kwargs, faults) for _, kwargs, faults in _CLUSTER_MATRIX],
-    ids=[label for label, _, _ in _CLUSTER_MATRIX],
+    ("cfg_kwargs", "faults"), list(CLUSTER_MATRIX.values()), ids=list(CLUSTER_MATRIX)
 )
 def test_cluster_indexed_dispatch_trace_identical(cfg_kwargs, faults):
     """Ledger routing vs view routing: merged metrics are bit-identical per seed."""
