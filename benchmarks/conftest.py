@@ -8,9 +8,11 @@ Every benchmark regenerates one table or figure of the paper in its reduced
 both times the harness and shows the reproduced numbers.
 
 All benchmarks are marked ``slow`` so that ``pytest -m "not slow"`` gives a
-fast test lane; and when the substrate benchmarks actually ran (i.e. not under
-``--benchmark-disable``), their timings are written to ``BENCH_substrate.json``
-via :mod:`repro.experiments.perf_report`.
+fast test lane.  Only a ``--benchmark-only`` session records timings: the
+substrate benchmarks then write ``BENCH_substrate.json`` via
+:mod:`repro.experiments.perf_report` (and the workload and cluster modules
+their own ``BENCH_*.json``), so a plain test run never rewrites the committed
+baselines.
 """
 
 from __future__ import annotations
@@ -33,10 +35,15 @@ def pytest_collection_modifyitems(items) -> None:
             item.add_marker(slow)
 
 
+def recording(config) -> bool:
+    """Whether this session records ``BENCH_*.json`` (``--benchmark-only``)."""
+    return bool(config.getoption("benchmark_only", default=False))
+
+
 def pytest_sessionfinish(session) -> None:
     """Persist substrate benchmark timings as a BENCH_*.json perf report."""
     benchmark_session = getattr(session.config, "_benchmarksession", None)
-    if benchmark_session is None:
+    if benchmark_session is None or not recording(session.config):
         return
     timings = {}
     for bench in getattr(benchmark_session, "benchmarks", []):

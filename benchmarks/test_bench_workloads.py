@@ -3,16 +3,15 @@
 These do not correspond to a paper figure; they document the raw generation
 rate of each arrival process (no simulator, no scheduler) at a large horizon,
 so a regression in the workload layer's own cost is visible before it taxes
-every backend.  When the benchmarks actually time (not ``--benchmark-disable``
-smoke mode), the rates are written to ``BENCH_workloads.json`` through the
-shared perf-report helper.
+every backend.  A ``--benchmark-only`` session writes the rates to
+``BENCH_workloads.json`` through the shared perf-report helper.
 """
 
 import math
 
 import pytest
 
-from conftest import run_once
+from conftest import recording, run_once
 
 from repro.experiments.perf_report import write_bench_summary
 from repro.sim.rng import RngFactory
@@ -68,8 +67,8 @@ def _workload_perf_report(request):
     """Persist the collected rates as BENCH_workloads.json at module end."""
     yield
     timings = {label: seconds for label, (seconds, _) in _RESULTS.items() if seconds}
-    if not timings:
-        return  # --benchmark-disable smoke mode collects no timings
+    if not timings or not recording(request.config):
+        return  # smoke and plain test runs leave the committed file alone
     extras = {
         label: {
             "releases": _RESULTS[label][1],

@@ -4,11 +4,11 @@ Each backend adapts one existing scheduler/server to the uniform
 :class:`~repro.backends.base.SchedulerBackend` protocol.  The heterogeneous
 entry points — ``run_daris_scenario``, ``RtgpuScheduler.run_taskset``,
 ``ClusterServer.serve`` (one GPU, for ``clockwork``),
-``GSliceServer.run_saturated``, ``BatchingServer.run_saturated`` /
-``run_with_arrivals``, ``SingleTenantExecutor.run`` — all normalize to
-*(request in, result out)*,
-so every system gets caching, seed replication, CI aggregation and sharded
-sweeps from the experiment engine for free.
+``GSliceServer.run_saturated`` (also behind ``SingleTenantExecutor.run`` and
+``BatchingServer.run_saturated``, as a one-partition server) and
+``BatchingServer.run_with_arrivals`` — all normalize to *(request in, result
+out)*, so every system gets caching, seed replication, CI aggregation and
+sharded sweeps from the experiment engine for free.
 
 Seeding: every backend builds its randomness from
 ``RngFactory(request.seed)``, so a backend run twice with the same seed is

@@ -8,6 +8,10 @@ baseline; the server can also be driven by rate-based arrivals with deadlines
 diurnally modulated variants via a
 :class:`~repro.sim.workload.WorkloadSpec`) to show why batching alone is
 problematic for real-time workloads (jobs wait for their batch to fill).
+
+The saturated run is a one-partition
+:class:`~repro.baselines.gslice.GSliceServer` at the server's batch size;
+only the rate-driven run has its own loop.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.baselines.gslice import GSliceServer
 from repro.baselines.results import JpsResult, single_class_metrics
-from repro.dnn.batching import batched_stage_specs
+from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
+from repro.gpu.kernel import KernelSpec
 from repro.gpu.platform import GpuPlatform, PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
 from repro.rt.metrics import FaultImpact, ScenarioMetrics
@@ -87,10 +93,7 @@ class BatchingServer:
         self.batch_size = batch_size
         self.gpu = gpu
         self.calibration = calibration
-        self.stages = batched_stage_specs(model, batch_size)
-        self.completed_jobs = 0
-        self.completed_batches = 0
-        self.batch_latencies_ms: List[float] = []
+        self.kernels = batched_kernel_specs(model, batch_size)
 
     # ------------------------------------------------------------- saturated
 
@@ -112,75 +115,16 @@ class BatchingServer:
         (``failed`` counts one per request in it).  Request-level drops and
         timeouts do not apply to the saturated closed loop.
         """
-        if horizon_ms <= 0:
-            raise ValueError("horizon must be positive")
-        policy = resilience if resilience is not None else DEFAULT_POLICY
-        injector = FaultInjector(faults, rng=rng, policy=policy)
-        simulator = Simulator()
-        platform = GpuPlatform(
-            simulator,
-            PlatformConfig(num_contexts=1, streams_per_context=1, oversubscription=1.0),
-            spec=self.gpu,
+        server = GSliceServer(
+            [self.model],
+            batch_sizes=[self.batch_size],
+            gpu=self.gpu,
             calibration=self.calibration,
         )
-        injector.install(simulator, platform, horizon_ms)
-        self.completed_jobs = 0
-        self.completed_batches = 0
-        self.batch_latencies_ms = []
-        fault_counts = {"failed": 0, "retries": 0}
-
-        def launch_batch() -> None:
-            start_time = simulator.now
-            state = {"stage": 0}
-
-            def on_stage_done(_kernel) -> None:
-                state["stage"] += 1
-                if state["stage"] < len(self.stages):
-                    submit_stage()
-                    return
-                self.completed_batches += 1
-                self.completed_jobs += self.batch_size
-                self.batch_latencies_ms.append(simulator.now - start_time)
-                injector.note_completion(simulator.now, on_time=True)
-                if simulator.now < horizon_ms:
-                    launch_batch()
-
-            def submit_stage() -> None:
-                stage = self.stages[state["stage"]]
-                platform.launch(0, 0, stage.to_kernel_spec(), on_complete=on_stage_done)
-
-            outcome = injector.launch_attempt()
-            fault_counts["retries"] += outcome.retries
-            if not outcome.succeeded or outcome.delay_ms > 0.0:
-
-                def on_launch_failed() -> None:
-                    fault_counts["failed"] += self.batch_size
-                    if simulator.now < horizon_ms:
-                        launch_batch()
-
-                deferred_launch(simulator, outcome, submit_stage, on_launch_failed)
-                return
-            submit_stage()
-
-        launch_batch()
-        simulator.run_until(horizon_ms)
-        jps = 1000.0 * self.completed_jobs / horizon_ms
-        response_times = [
-            latency for latency in self.batch_latencies_ms for _ in range(self.batch_size)
-        ]
-        served = self.completed_jobs + fault_counts["failed"]
-        metrics = single_class_metrics(
-            horizon_ms,
-            completed=self.completed_jobs,
-            released=served,
-            admitted=served,
-            failed=fault_counts["failed"],
-            launch_retries=fault_counts["retries"],
-            response_times=response_times,
-            per_task_completed={self.model.name: self.completed_jobs},
-            fault_impact=FaultImpact.from_summary(injector.summary()),
+        outcome = server.run_saturated(
+            horizon_ms, faults=faults, resilience=resilience, rng=rng
         )
-        return JpsResult(jps, metrics)
+        return JpsResult(outcome.total_jps, outcome.metrics)
 
     # ----------------------------------------------------------- rate-driven
 
@@ -240,6 +184,9 @@ class BatchingServer:
         )
         injector.install(simulator, platform, horizon_ms)
         client_timeout = injector.timeout_ms
+        # Partial-batch kernels per batch length, built once per run: the
+        # engine memoizes launch invariants per spec object.
+        partial_kernels: Dict[int, List[KernelSpec]] = {}
         pending: List[float] = []  # release times of queued requests
         busy = {"running": False}
         completed = {"count": 0, "missed": 0}
@@ -264,12 +211,21 @@ class BatchingServer:
             batch = pending[: self.batch_size]
             del pending[: len(batch)]
             busy["running"] = True
-            scale = len(batch) / float(self.batch_size)
+            stages = self.kernels
+            if len(batch) < self.batch_size:
+                stages = partial_kernels.get(len(batch))
+                if stages is None:
+                    scale = len(batch) / float(self.batch_size)
+                    stages = [
+                        spec.scaled(scale, 1.0, float(self.gpu.num_sms))
+                        for spec in self.kernels
+                    ]
+                    partial_kernels[len(batch)] = stages
             state = {"stage": 0}
 
             def on_stage_done(_kernel) -> None:
                 state["stage"] += 1
-                if state["stage"] < len(self.stages):
+                if state["stage"] < len(stages):
                     submit_stage()
                     return
                 busy["running"] = False
@@ -283,11 +239,7 @@ class BatchingServer:
                 maybe_launch(force=False)
 
             def submit_stage() -> None:
-                stage = self.stages[state["stage"]]
-                spec = stage.to_kernel_spec()
-                if scale < 1.0:
-                    spec = spec.scaled(scale, 1.0, float(self.gpu.num_sms))
-                platform.launch(0, 0, spec, on_complete=on_stage_done)
+                platform.launch(0, 0, stages[state["stage"]], on_complete=on_stage_done)
 
             outcome = injector.launch_attempt()
             fault_counts["retries"] += outcome.retries

@@ -5,6 +5,11 @@ model a fixed fraction of the GPU's SMs and batching requests inside each
 partition.  Compared to DARIS it has no oversubscription (partitions are
 isolated), no task priorities and no staging; its gain over pure batching is
 therefore modest (the paper quotes ~3.5 % for ResNet50).
+
+:meth:`GSliceServer.run_saturated` is also the repository's one saturated
+closed loop: a one-partition server at batch size 1 is the single-tenant
+lower baseline and at batch size ``b`` the pure-batching upper baseline
+(:mod:`repro.baselines.single`, :mod:`repro.baselines.batching_server`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.results import single_class_metrics
-from repro.dnn.batching import batched_stage_specs
+from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.platform import GpuPlatform, PlatformConfig
@@ -74,7 +79,6 @@ class GSliceServer:
         self.gpu = gpu
         self.calibration = calibration
         self.oversubscription = oversubscription
-        self.completed_jobs: Dict[str, int] = {}
 
     def run_saturated(
         self,
@@ -108,14 +112,20 @@ class GSliceServer:
             calibration=self.calibration,
         )
         injector.install(simulator, platform, horizon_ms)
-        self.completed_jobs = {model.name: 0 for model in self.models}
+        # Each partition's batched kernels, built once per run: the engine
+        # memoizes launch invariants per spec object.
+        kernels = [
+            batched_kernel_specs(model, batch)
+            for model, batch in zip(self.models, self.batch_sizes)
+        ]
+        completed_jobs = {model.name: 0 for model in self.models}
         batch_latencies: Dict[str, List[float]] = {model.name: [] for model in self.models}
         fault_counts = {"failed": 0, "retries": 0}
 
         def launch_batch(partition: int) -> None:
             model = self.models[partition]
             batch = self.batch_sizes[partition]
-            stages = batched_stage_specs(model, batch)
+            stages = kernels[partition]
             start_time = simulator.now
             state = {"stage": 0}
 
@@ -124,15 +134,14 @@ class GSliceServer:
                 if state["stage"] < len(stages):
                     submit_stage()
                     return
-                self.completed_jobs[model.name] += batch
+                completed_jobs[model.name] += batch
                 batch_latencies[model.name].append(simulator.now - start_time)
                 injector.note_completion(simulator.now, on_time=True)
                 if simulator.now < horizon_ms:
                     launch_batch(partition)
 
             def submit_stage() -> None:
-                stage = stages[state["stage"]]
-                platform.launch(partition, 0, stage.to_kernel_spec(), on_complete=on_stage_done)
+                platform.launch(partition, 0, stages[state["stage"]], on_complete=on_stage_done)
 
             outcome = injector.launch_attempt()
             fault_counts["retries"] += outcome.retries
@@ -152,7 +161,7 @@ class GSliceServer:
         simulator.run_until(horizon_ms)
 
         per_model = {
-            name: 1000.0 * count / horizon_ms for name, count in self.completed_jobs.items()
+            name: 1000.0 * count / horizon_ms for name, count in completed_jobs.items()
         }
         response_times = [
             latency
@@ -160,7 +169,7 @@ class GSliceServer:
             for latency in batch_latencies[model.name]
             for _ in range(self.batch_sizes[partition])
         ]
-        completed = sum(self.completed_jobs.values())
+        completed = sum(completed_jobs.values())
         served = completed + fault_counts["failed"]
         metrics = single_class_metrics(
             horizon_ms,
@@ -170,7 +179,7 @@ class GSliceServer:
             failed=fault_counts["failed"],
             launch_retries=fault_counts["retries"],
             response_times=response_times,
-            per_task_completed=dict(self.completed_jobs),
+            per_task_completed=completed_jobs,
             fault_impact=FaultImpact.from_summary(injector.summary()),
         )
         return GSliceResult(metrics=metrics, per_model_jps=per_model)

@@ -2,30 +2,24 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.baselines.results import JpsResult, single_class_metrics
+from repro.baselines.gslice import GSliceServer
+from repro.baselines.results import JpsResult
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
-from repro.gpu.platform import GpuPlatform, PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
-from repro.rt.metrics import FaultImpact
-from repro.sim.faults import (
-    DEFAULT_POLICY,
-    FaultInjector,
-    FaultSpec,
-    ResiliencePolicy,
-    deferred_launch,
-)
+from repro.sim.faults import FaultSpec, ResiliencePolicy
 from repro.sim.rng import RngFactory
-from repro.sim.simulator import Simulator
 
 
 class SingleTenantExecutor:
     """Runs back-to-back single inferences of one model on an otherwise idle GPU.
 
     This reproduces the ``min`` column of Table I: the throughput of a single
-    CUDA stream with no co-location and no batching.
+    CUDA stream with no co-location and no batching.  It is a one-partition
+    :class:`~repro.baselines.gslice.GSliceServer` at batch size 1, whose
+    batched stages are the model's own.
     """
 
     def __init__(
@@ -37,9 +31,6 @@ class SingleTenantExecutor:
         self.model = model
         self.gpu = gpu
         self.calibration = calibration
-        self.completed_jobs = 0
-        self.job_latencies_ms: List[float] = []
-        self._horizon: Optional[float] = None
 
     def run(
         self,
@@ -54,7 +45,7 @@ class SingleTenantExecutor:
         (:class:`~repro.baselines.results.JpsResult` subclasses ``float``),
         and additionally carries ``.metrics`` — the uniform
         :class:`~repro.rt.metrics.ScenarioMetrics` the scheduler-backend API
-        consumes.
+        consumes, with each job's latency as its response time.
 
         ``faults`` / ``resilience`` inject the scenario's fault processes
         (throttle windows slow the engine, flaky launches cost retries, a
@@ -63,74 +54,10 @@ class SingleTenantExecutor:
         there are no external requests to drop — and are ignored by
         construction of the fault spec's grid pairing.
         """
-        if horizon_ms <= 0:
-            raise ValueError("horizon must be positive")
-        policy = resilience if resilience is not None else DEFAULT_POLICY
-        injector = FaultInjector(faults, rng=rng, policy=policy)
-        simulator = Simulator()
-        platform = GpuPlatform(
-            simulator,
-            PlatformConfig(num_contexts=1, streams_per_context=1, oversubscription=1.0),
-            spec=self.gpu,
-            calibration=self.calibration,
+        server = GSliceServer(
+            [self.model], batch_sizes=[1], gpu=self.gpu, calibration=self.calibration
         )
-        injector.install(simulator, platform, horizon_ms)
-        self.completed_jobs = 0
-        self.job_latencies_ms = []
-        self._horizon = horizon_ms
-        fault_counts = {"failed": 0, "retries": 0}
-
-        def launch_job() -> None:
-            start_time = simulator.now
-            remaining = {"stage": 0}
-
-            def on_stage_done(_kernel) -> None:
-                remaining["stage"] += 1
-                if remaining["stage"] < self.model.num_stages:
-                    submit_stage()
-                else:
-                    self.completed_jobs += 1
-                    self.job_latencies_ms.append(simulator.now - start_time)
-                    injector.note_completion(simulator.now, on_time=True)
-                    if simulator.now < horizon_ms:
-                        launch_job()
-
-            def submit_stage() -> None:
-                stage = self.model.stages[remaining["stage"]]
-                platform.launch(0, 0, stage.to_kernel_spec(), on_complete=on_stage_done)
-
-            outcome = injector.launch_attempt()
-            fault_counts["retries"] += outcome.retries
-            if not outcome.succeeded or outcome.delay_ms > 0.0:
-
-                def on_launch_failed() -> None:
-                    fault_counts["failed"] += 1
-                    if simulator.now < horizon_ms:
-                        launch_job()
-
-                deferred_launch(simulator, outcome, submit_stage, on_launch_failed)
-                return
-            submit_stage()
-
-        launch_job()
-        simulator.run_until(horizon_ms)
-        jps = 1000.0 * self.completed_jobs / horizon_ms
-        served = self.completed_jobs + fault_counts["failed"]
-        metrics = single_class_metrics(
-            horizon_ms,
-            completed=self.completed_jobs,
-            released=served,
-            admitted=served,
-            failed=fault_counts["failed"],
-            launch_retries=fault_counts["retries"],
-            response_times=self.job_latencies_ms,
-            per_task_completed={self.model.name: self.completed_jobs},
-            fault_impact=FaultImpact.from_summary(injector.summary()),
+        outcome = server.run_saturated(
+            horizon_ms, faults=faults, resilience=resilience, rng=rng
         )
-        return JpsResult(jps, metrics)
-
-    def measured_latency_ms(self) -> float:
-        """Average single-job latency implied by the last run."""
-        if not self.completed_jobs or self._horizon is None:
-            raise RuntimeError("run() must complete at least one job first")
-        return self._horizon / self.completed_jobs
+        return JpsResult(outcome.total_jps, outcome.metrics)

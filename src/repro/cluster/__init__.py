@@ -8,17 +8,17 @@ parallel fan-out and sharded sweeps unchanged.
 
 * :mod:`repro.cluster.config` — ``ClusterConfig``: ``num_gpus`` / ``router``
   / ``placement`` / migration fields as first-class config axes.
-* :mod:`repro.cluster.router` — pluggable, unit-testable dispatch policies
-  (``least_loaded`` / ``round_robin`` / ``deadline_aware``).
-* :mod:`repro.cluster.placement` — model -> device-subset placement
-  (``replicated`` / ``partitioned``) plus the migration reassignment
-  primitive.
-* :mod:`repro.cluster.ledger` — the O(1)-per-event dispatch index
-  (incremental load heap / bisect ordering / backlog counters).
+* :mod:`repro.cluster.placement` — the initial model -> device-subset
+  placement (``replicated`` / ``partitioned``).
+* :mod:`repro.cluster.ledger` — the routing policies (``least_loaded`` /
+  ``round_robin`` / ``deadline_aware``) as an O(1)-per-event dispatch index
+  over each model's alive devices (incremental load heap / bisect ordering /
+  cursor / backlog counters).
 * :mod:`repro.cluster.server` — the runtime: per-GPU Clockwork executors
   (the repository's one EDF serving loop, also behind the single-GPU
-  ``clockwork`` backend), cluster-level release routing, GPU-targetable
-  fault injection, per-device telemetry, metrics merge.
+  ``clockwork`` backend), cluster-level release routing through the ledger,
+  GPU-targetable fault injection, per-device telemetry, metrics merge, and
+  the :class:`GpuLoadView` snapshots an ``on_dispatch`` observer receives.
 * :mod:`repro.cluster.backend` — the registered ``cluster`` backend.
 """
 
@@ -26,15 +26,7 @@ from repro.cluster.backend import ClusterBackend
 from repro.cluster.config import PLACEMENT_POLICIES, ROUTER_POLICIES, ClusterConfig
 from repro.cluster.ledger import DeviceGroup, DispatchLedger
 from repro.cluster.placement import PlacementSpec
-from repro.cluster.router import (
-    DeadlineAwareRouter,
-    GpuLoadView,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    RouterPolicy,
-    make_router,
-)
-from repro.cluster.server import ClusterServer
+from repro.cluster.server import ClusterServer, GpuLoadView
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -42,13 +34,8 @@ __all__ = [
     "ClusterBackend",
     "ClusterConfig",
     "ClusterServer",
-    "DeadlineAwareRouter",
     "DeviceGroup",
     "DispatchLedger",
     "GpuLoadView",
-    "LeastLoadedRouter",
     "PlacementSpec",
-    "RoundRobinRouter",
-    "RouterPolicy",
-    "make_router",
 ]

@@ -1,45 +1,50 @@
-"""O(1)-per-event dispatch index for cluster routing.
+"""The cluster's routing policies: an O(1)-per-event dispatch index.
 
-A router handed a fresh tuple of :class:`~repro.cluster.router.GpuLoadView`
-dataclasses on every released request, scanned with a lambda-keyed
-``min``/``max``, costs O(num_gpus) allocation and comparison per release,
-so the cluster would get slower per job the bigger it grew.  The
-:class:`DispatchLedger` replaces those snapshots with mutable per-device
-arrays (``outstanding_ms``, ``queue_depth``) that the workers update in place
-as requests enqueue, complete, time out or migrate, plus per-eligible-subset
-index structures (:class:`DeviceGroup`) the routers read directly:
+The :class:`DispatchLedger` keeps mutable per-device arrays
+(``outstanding_ms``, ``queue_depth``, ``alive``) that the workers and the
+fault injectors update in place as requests enqueue, complete, time out or
+migrate and as devices enter and leave degraded episodes.  Per-eligible-subset
+index structures (:class:`DeviceGroup`) read them and answer every dispatch,
+so the ledger *defines* the three ``ClusterConfig.router`` policies:
 
-* ``least_loaded`` — a lazily-invalidated min-heap of ``(outstanding_ms,
-  index)`` entries.  Every load delta pushes the device's new key; stale
-  entries (whose value no longer matches the ledger) are discarded at peek
-  time, so a dispatch is O(log G) amortized instead of an O(G) scan.  An
-  entry that *matches* the ledger value is by construction the device's
-  current key, so the surviving heap minimum is exactly the router's
-  ``min(views, key=(outstanding_ms, index))``.
-* ``deadline_aware`` — a bisect-maintained ascending ordering of the same
-  ``(outstanding_ms, index)`` pairs.  Floating-point addition is monotone,
-  so the router's feasibility predicate ``now + outstanding + predicted <=
-  deadline + eps`` is true on a prefix of the ordering; a binary search that
-  evaluates the *identical* float expression finds the boundary bit-exactly,
-  and the pack target (max outstanding, min index among ties) is the end of
-  that prefix walked left over equal loads.
-* ``round_robin`` — needs no load structure; the router's cursor indexes the
-  group's device tuple directly (see ``RoundRobinRouter.select_index``).
+* ``least_loaded`` — the member with the least outstanding predicted work,
+  ties toward the lowest index.  A lazily-invalidated min-heap of
+  ``(outstanding_ms, index)`` entries: every load delta pushes the device's
+  new key; stale entries (whose value no longer matches the ledger) are
+  discarded at peek time, so a dispatch is O(log G) amortized.  An entry
+  that *matches* the ledger value is by construction the device's current
+  key, so the surviving heap minimum is exactly ``min`` over the members.
+* ``deadline_aware`` — bin-pack onto the most loaded member that still
+  meets the deadline (``now + outstanding + predicted <= deadline + eps``),
+  keeping headroom on the others for tighter requests; with no feasible
+  member, least loaded.  A bisect-maintained ascending ordering of the same
+  pairs: float addition is monotone, so the feasible members are a prefix
+  of the ordering, and a binary search that evaluates the *identical* float
+  expression finds its end bit-exactly.
+* ``round_robin`` — load-blind rotation.  One cursor per run counts
+  dispatches (not device positions) and indexes the group's members at
+  ``cursor mod len(members)``: when the members shrink (a device degrades,
+  or migration moves a model onto one device) traffic stays uniform over the
+  current members instead of resuming where a vanished device left off, and
+  when they grow back the rotation re-covers every device within one lap.
 
-The migration trigger rides the same ledger: each group counts its member
-devices with ``queue_depth < migration_backlog`` (``below_backlog``), updated
-only when a depth delta crosses the threshold, so the sustained-backlog
-window check collapses from a per-release min-scan to one integer compare.
+*Members.*  A group routes over its alive devices, or over all of its
+devices when none is alive; a device is not alive while its fault injector
+reports it degraded (crash recovery or a slowdown window).  A flip of a
+device's alive flag rebuilds the index of each group holding the device,
+and load changes of non-members are skipped with one set test, so the
+per-dispatch cost stays independent of the cluster size.
 
-Equivalence contract: every structure answers *exactly* what the router
-policy's ``select`` scan answers over views of the same ledger state — same
-floats, same tie-breaks, same epsilon — and ``tests/test_golden_digests.py``
-pins the routed runs across the router x placement x fault x migration
-matrix.  The alive filter is handled by engagement, not emulation: the
-server only consults the index while no device is degraded (tracked O(1)
-via the fault injector's degraded-flip hook) and routes through views
-inside fault windows, where the filtered candidate list is no longer a pure
-function of the ledger.
+The migration trigger rides the same ledger: each group counts its devices
+(members or not) with ``queue_depth < migration_backlog``
+(``below_backlog``), updated only when a depth delta crosses the threshold,
+so the sustained-backlog window check is one integer compare.
+
+The reference scans these structures replace — ``min``/``max`` over
+freshly built :class:`~repro.cluster.server.GpuLoadView` tuples — live in
+``tests/test_perf_equivalence.py``, which checks every pick of the golden
+cluster matrix against them; ``tests/test_golden_digests.py`` pins the
+routed runs.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ import heapq
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.router import _EPS
+#: Slack of the deadline-feasibility test.
+_EPS = 1e-9
 
 
 class DeviceGroup:
@@ -56,23 +62,27 @@ class DeviceGroup:
 
     Groups are created lazily per distinct device tuple (replicated placement
     has one, partitioned placement one per model, migration adds singleton
-    groups) and updated through the owning ledger whenever a member device's
-    load or depth changes.
+    groups) and updated through the owning ledger whenever a device's load,
+    depth or alive flag changes.  The three policy methods share one
+    signature, so the server binds the configured one by name.
     """
 
-    __slots__ = ("ledger", "devices", "heap", "pairs", "below_backlog")
+    __slots__ = (
+        "ledger",
+        "devices",
+        "members",
+        "_member_set",
+        "heap",
+        "pairs",
+        "below_backlog",
+    )
 
     def __init__(self, ledger: "DispatchLedger", devices: Tuple[int, ...]):
         self.ledger = ledger
         self.devices = devices
-        outstanding = ledger.outstanding_ms
         self.heap: Optional[List[Tuple[float, int]]] = None
         self.pairs: Optional[List[Tuple[float, int]]] = None
-        if ledger.track_order:
-            self.pairs = sorted((outstanding[g], g) for g in devices)
-        elif ledger.track_load:
-            self.heap = [(outstanding[g], g) for g in devices]
-            heapq.heapify(self.heap)
+        self.reindex()
         backlog = ledger.backlog
         if backlog:
             depth = ledger.queue_depth
@@ -80,10 +90,10 @@ class DeviceGroup:
         else:
             self.below_backlog = len(devices)
 
-    # -------------------------------------------------------------- selection
+    # -------------------------------------------------------------- policies
 
-    def least_loaded(self) -> int:
-        """The ``min(views, key=(outstanding_ms, index))`` answer."""
+    def least_loaded(self, now: float, deadline: float, predicted_ms: float) -> int:
+        """The least-loaded member (the request itself is not consulted)."""
         heap = self.heap
         outstanding = self.ledger.outstanding_ms
         while True:
@@ -93,12 +103,7 @@ class DeviceGroup:
             heapq.heappop(heap)  # stale: the device moved since this push
 
     def deadline_aware(self, now: float, deadline: float, predicted_ms: float) -> int:
-        """The pack-most-loaded-feasible / least-loaded-fallback answer.
-
-        Evaluates the router's predicate ``now + outstanding + predicted <=
-        deadline + eps`` verbatim at O(log G) probe points; monotonicity of
-        float addition makes the feasible set a prefix of the ordering.
-        """
+        """The most loaded feasible member, else the least loaded one."""
         pairs = self.pairs
         limit = deadline + _EPS
         if not (now + pairs[0][0] + predicted_ms <= limit):
@@ -117,9 +122,32 @@ class DeviceGroup:
             lo -= 1
         return pairs[lo][1]
 
+    def round_robin(self, now: float, deadline: float, predicted_ms: float) -> int:
+        """The member at the run's dispatch cursor (load-blind)."""
+        ledger = self.ledger
+        members = self.members
+        choice = members[ledger.cursor % len(members)]
+        ledger.cursor += 1
+        return choice
+
     # ---------------------------------------------------------- invalidation
 
+    def reindex(self) -> None:
+        """Recompute the members and rebuild the load index over them."""
+        ledger = self.ledger
+        alive = ledger.alive
+        self.members = tuple(g for g in self.devices if alive[g]) or self.devices
+        self._member_set = frozenset(self.members)
+        outstanding = ledger.outstanding_ms
+        if ledger.track_order:
+            self.pairs = sorted((outstanding[g], g) for g in self.members)
+        elif ledger.track_load:
+            self.heap = [(outstanding[g], g) for g in self.members]
+            heapq.heapify(self.heap)
+
     def load_changed(self, old: float, new: float, gpu: int) -> None:
+        if gpu not in self._member_set:
+            return  # indexed again by reindex() when it rejoins
         if self.pairs is not None:
             pairs = self.pairs
             pairs.pop(bisect_left(pairs, (old, gpu)))
@@ -127,13 +155,8 @@ class DeviceGroup:
         elif self.heap is not None:
             heap = self.heap
             heapq.heappush(heap, (new, gpu))
-            if len(heap) > 4 * len(self.devices) + 16:
-                self._compact()
-
-    def _compact(self) -> None:
-        outstanding = self.ledger.outstanding_ms
-        self.heap = [(outstanding[g], g) for g in self.devices]
-        heapq.heapify(self.heap)
+            if len(heap) > 4 * len(self.members) + 16:
+                self.reindex()  # compaction: drop the stale entries
 
     def depth_changed(self, old: int, new: int) -> None:
         backlog = self.ledger.backlog
@@ -144,12 +167,13 @@ class DeviceGroup:
 
 
 class DispatchLedger:
-    """Mutable per-device load state shared by the workers and the router.
+    """Mutable per-device state shared by the workers and the routing index.
 
     One instance per :meth:`ClusterServer.serve` run.  Workers funnel every
     ``outstanding_ms`` / ``queue_depth`` delta through ``load_changed`` /
-    ``depth_changed``; the server resolves a model's :class:`DeviceGroup`
-    once per placement change and reads it per dispatch.
+    ``depth_changed`` and fault injectors report degraded episodes through
+    ``degraded_changed``; the server resolves a model's :class:`DeviceGroup`
+    once per placement change and asks it for every dispatch.
     """
 
     __slots__ = (
@@ -159,7 +183,8 @@ class DispatchLedger:
         "backlog",
         "outstanding_ms",
         "queue_depth",
-        "degraded_devices",
+        "alive",
+        "cursor",
         "_groups",
         "_groups_by_device",
     )
@@ -171,10 +196,9 @@ class DispatchLedger:
         self.backlog = backlog
         self.outstanding_ms = [0.0] * num_gpus
         self.queue_depth = [0] * num_gpus
-        #: Devices currently degraded (crash recovery / slowdown window);
-        #: maintained by the fault injectors' degraded-flip hooks so the
-        #: "is the alive-filter a no-op?" guard is one integer compare.
-        self.degraded_devices = 0
+        self.alive = [True] * num_gpus
+        #: Dispatches made so far; the ``round_robin`` rotation position.
+        self.cursor = 0
         self._groups: Dict[Tuple[int, ...], DeviceGroup] = {}
         self._groups_by_device: List[List[DeviceGroup]] = [
             [] for _ in range(num_gpus)
@@ -205,6 +229,8 @@ class DispatchLedger:
         for group in self._groups_by_device[gpu]:
             group.depth_changed(old, new)
 
-    def degraded_changed(self, degraded: bool) -> None:
-        """Fault-injector hook: a device entered/left a degraded episode."""
-        self.degraded_devices += 1 if degraded else -1
+    def degraded_changed(self, gpu: int, degraded: bool) -> None:
+        """Fault-injector hook: device ``gpu`` entered/left a degraded episode."""
+        self.alive[gpu] = not degraded
+        for group in self._groups_by_device[gpu]:
+            group.reindex()

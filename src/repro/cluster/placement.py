@@ -5,9 +5,11 @@ subset of devices allowed to serve it.  ``replicated`` placement serves
 every model everywhere (the router balances freely); ``partitioned``
 placement splits the devices into disjoint per-model subsets (device ``g``
 serves model ``g % num_models``), the GSlice-style isolation answer at
-cluster scale.  Migration (when enabled) *reassigns* a model at runtime, so
-the spec is mutable run state built fresh per run from the fingerprinted
-``ClusterConfig.placement`` policy.
+cluster scale.  The spec is the *initial* map of a run, built from the
+fingerprinted ``ClusterConfig.placement`` policy; migration later narrows a
+model to one device by switching the model's
+:class:`~repro.cluster.ledger.DeviceGroup`, which is then the only record of
+where it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.cluster.config import PLACEMENT_POLICIES
 
 
 class PlacementSpec:
-    """Runtime model -> eligible-device map of one cluster run."""
+    """Initial model -> eligible-device map of one cluster run."""
 
     def __init__(self, assignments: Dict[str, Tuple[int, ...]]):
         if not assignments:
@@ -51,15 +53,5 @@ class PlacementSpec:
         return cls(assignments)
 
     def gpus_for(self, model_name: str) -> Tuple[int, ...]:
-        """Devices currently eligible to serve ``model_name``."""
+        """Devices initially eligible to serve ``model_name``."""
         return self._assignments[model_name]
-
-    def reassign(self, model_name: str, gpus: Tuple[int, ...]) -> None:
-        """Move a model to a new device subset (the migration primitive)."""
-        if not gpus:
-            raise ValueError("cannot reassign a model to no device")
-        self._assignments[model_name] = tuple(gpus)
-
-    def as_dict(self) -> Dict[str, Tuple[int, ...]]:
-        """Snapshot of the current assignments (for telemetry/tests)."""
-        return dict(self._assignments)

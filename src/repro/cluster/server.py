@@ -16,11 +16,12 @@ repository's one EDF serving loop: the single-GPU ``clockwork`` backend is a
 Per-event cost: dispatch is O(1) in the cluster size.  Each release resolves
 through the run's :class:`~repro.cluster.ledger.DispatchLedger` — per-task
 constants (predicted latency, deadline, kernel specs, metric bucket) are
-memoized once per run in a :class:`_TaskProfile`, routing reads the ledger's
-incremental min-heap / bisect ordering / cursor, and the sustained-backlog
-migration trigger is a per-group counter compare.  Router views
-(``GpuLoadView`` tuples) are still built whenever an ``on_dispatch``
-observer needs them or a device is degraded (the alive filter needs them).
+memoized once per run in a :class:`_TaskProfile`, the model's
+:class:`~repro.cluster.ledger.DeviceGroup` answers the routing question
+(incremental min-heap / bisect ordering / cursor over its alive members),
+and the sustained-backlog migration trigger is a per-group counter compare.
+:class:`GpuLoadView` snapshots are built only for an ``on_dispatch``
+observer.
 
 RNG streams: arrivals and request-level fault draws come from the run's
 root :class:`~repro.sim.rng.RngFactory`, as do the device-level fault
@@ -33,13 +34,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.ledger import DispatchLedger
+from repro.cluster.ledger import DeviceGroup, DispatchLedger
 from repro.cluster.placement import PlacementSpec
-from repro.cluster.router import GpuLoadView, RoundRobinRouter, make_router
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.platform import GpuPlatform, PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
@@ -58,6 +59,27 @@ from repro.sim.faults import (
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 from repro.sim.workload import PERIODIC_WORKLOAD, ReleaseStream, WorkloadSpec
+
+
+@dataclass(frozen=True)
+class GpuLoadView:
+    """One device's load as an ``on_dispatch`` observer sees it.
+
+    Attributes:
+        index: device index within the cluster.
+        outstanding_ms: predicted service time of everything queued or
+            running on the device (the Clockwork-style isolated-latency
+            ledger).
+        queue_depth: requests queued or running on the device.
+        alive: False while the device is degraded (crash recovery or a
+            slowdown window); routing prefers alive devices and only falls
+            back to degraded ones when no eligible device is healthy.
+    """
+
+    index: int
+    outstanding_ms: float
+    queue_depth: int
+    alive: bool = True
 
 
 class _TaskProfile:
@@ -186,7 +208,7 @@ class _GpuWorker:
     # ------------------------------------------------------------- load view
 
     def load_view(self) -> GpuLoadView:
-        """Snapshot handed to the router when views are needed (see ``serve``)."""
+        """Snapshot handed to an ``on_dispatch`` observer (see ``serve``)."""
         return GpuLoadView(
             index=self.index,
             outstanding_ms=self.outstanding_ms,
@@ -421,8 +443,8 @@ class ClusterServer:
         self.gpu = gpu
         self.calibration = calibration
         self.admission_slack = admission_slack
-        #: Dispatches in the last ``serve`` run that were routed from the
-        #: ledger alone, without building router views.
+        #: Dispatches the ledger routed in the last ``serve`` run (all of
+        #: them; kept as the run-report counter).
         self.indexed_engagements = 0
 
     def serve(
@@ -434,15 +456,16 @@ class ClusterServer:
         faults: Optional[FaultSpec] = None,
         resilience: Optional[ResiliencePolicy] = None,
         on_dispatch: Optional[
-            Callable[[float, str, int, Tuple[GpuLoadView, ...]], None]
+            Callable[[float, str, int, Tuple[GpuLoadView, ...], float, float], None]
         ] = None,
     ) -> ScenarioMetrics:
         """Serve a task set across the cluster; returns the merged metrics.
 
-        ``on_dispatch(now, model_name, chosen, views)`` (when given) observes
-        every routing decision with the candidate views the router saw — the
-        hook the router-invariant tests use.  Observed dispatches always
-        build the views and route through ``RouterPolicy.select``.
+        ``on_dispatch(now, model_name, chosen, views, deadline, predicted_ms)``
+        (when given) observes every routing decision with views of the
+        candidate devices (the model's group members) as they stood before
+        the request was enqueued — the hook the routing tests use to re-check
+        each pick.  Observing does not change the routing.
         """
         if horizon_ms <= 0:
             raise ValueError("horizon must be positive")
@@ -496,7 +519,7 @@ class ClusterServer:
                 _device_spec(faults, index), rng=device_rng, policy=policy
             )
             injector.install(simulator, platform, horizon_ms)
-            injector.on_degraded_change = ledger.degraded_changed
+            injector.on_degraded_change = partial(ledger.degraded_changed, index)
             workers.append(
                 _GpuWorker(
                     index,
@@ -516,7 +539,6 @@ class ClusterServer:
             if task.model.name not in model_names:
                 model_names.append(task.model.name)
         placement = PlacementSpec.build(config.placement, model_names, num_gpus)
-        router = make_router(config.router)
         backlog_since: Dict[str, float] = {}
         dispatch_seq = count(1)
 
@@ -542,6 +564,7 @@ class ClusterServer:
                 task, per_priority[task.priority], predicted, kernels_by_model[key]
             )
 
+        # Where each model runs: its placement subset, narrowed by migration.
         group_by_model = {
             name: ledger.group_for(placement.gpus_for(name)) for name in model_names
         }
@@ -560,7 +583,6 @@ class ClusterServer:
                     # a migration.
                     workers[g].migrations += 1
                     moved.extend(taken)
-            placement.reassign(model_name, (target,))
             group_by_model[model_name] = ledger.group_for((target,))
             backlog_since.pop(model_name, None)
             workers[target].receive_migrated(moved)
@@ -578,16 +600,10 @@ class ClusterServer:
             elif now - since >= config.migration_window_ms:
                 migrate(model_name, group.devices, now)
 
-        fast_routing = on_dispatch is None
-        least_loaded_kind = config.router == "least_loaded"
-        deadline_kind = config.router == "deadline_aware"
-        rr_select_index = (
-            router.select_index if isinstance(router, RoundRobinRouter) else None
-        )
-        engagements = 0
+        # The ledger's group methods are the routing policies.
+        route = getattr(DeviceGroup, config.router)
 
         def on_release(task, event) -> None:
-            nonlocal engagements
             profile = profiles[id(task)]
             bucket = profile.bucket
             bucket.released += 1
@@ -600,26 +616,11 @@ class ClusterServer:
                 maybe_migrate(model_name, now)
             predicted = profile.predicted_ms
             deadline = now + profile.relative_deadline_ms
-            if fast_routing and ledger.degraded_devices == 0:
-                # Direct ledger reads, no view materialization.
-                group = group_by_model[model_name]
-                if least_loaded_kind:
-                    choice = group.least_loaded()
-                elif deadline_kind:
-                    choice = group.deadline_aware(now, deadline, predicted)
-                else:
-                    choice = rr_select_index(group.devices)
-                engagements += 1
-            else:
-                # Views for the ``on_dispatch`` observer, and for dispatches
-                # made while any device is degraded (the alive filter needs
-                # real views).
-                eligible = placement.gpus_for(model_name)
-                views = tuple(workers[g].load_view() for g in eligible)
-                candidates = tuple(view for view in views if view.alive) or views
-                choice = router.select(now, deadline, predicted, candidates)
-                if on_dispatch is not None:
-                    on_dispatch(now, model_name, choice, candidates)
+            group = group_by_model[model_name]
+            choice = route(group, now, deadline, predicted)
+            if on_dispatch is not None:
+                views = tuple(workers[g].load_view() for g in group.members)
+                on_dispatch(now, model_name, choice, views, deadline, predicted)
             worker = workers[choice]
             worker.routed += 1
             worker.enqueue(_QueuedRequest(deadline, next(dispatch_seq), now, profile))
@@ -628,7 +629,7 @@ class ClusterServer:
             simulator, horizon_ms, taskset.tasks, on_release
         )
         simulator.run_until(horizon_ms)
-        self.indexed_engagements = engagements
+        self.indexed_engagements = sum(worker.routed for worker in workers)
 
         breakdown = tuple(worker.telemetry() for worker in workers)
         utilization = left_sum(gpu.utilization for gpu in breakdown) / len(breakdown)

@@ -12,8 +12,10 @@ water-filling for the context it touched.  When the cross-context scale factor
 and the contention factor are unchanged by an event, the rates of kernels in
 untouched contexts are provably unchanged — the fast path skips recomputing
 them entirely.  All arithmetic follows the exact operation order of the
-from-scratch :func:`repro.gpu.allocation.allocate_sms` plan, so the results
-are bit-identical to it (pinned by ``tests/test_golden_digests.py``).
+from-scratch two-level plan described in :mod:`repro.gpu.allocation`, so the
+results are bit-identical to it: ``tests/test_gpu_allocation.py`` checks the
+engine against that plan after every replan, and
+``tests/test_golden_digests.py`` pins whole runs.
 
 Completion events use a generation token instead of a cancellable handle:
 each replan bumps the generation, so a superseded completion callback simply
@@ -413,8 +415,8 @@ class GpuEngine:
     def _replan(self) -> None:
         """Recompute SM allocation and schedule the next completion event.
 
-        The computation reproduces, operation for operation, what
-        :func:`repro.gpu.allocation.allocate_sms` would return for the current
+        The computation reproduces, operation for operation, the from-scratch
+        two-level plan (see :mod:`repro.gpu.allocation`) for the current
         running set; it merely avoids redoing work whose inputs are unchanged.
         """
         # Invalidate any outstanding completion callback.

@@ -9,7 +9,10 @@ from repro.baselines.gslice import GSliceServer
 from repro.baselines.results import accepted_miss_rate
 from repro.baselines.rtgpu import RtgpuScheduler
 from repro.baselines.single import SingleTenantExecutor
+from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
+from repro.gpu.engine import GpuEngine
+from repro.numeric import left_sum
 from repro.rt.taskset import make_taskset
 from repro.scheduler.config import DarisConfig
 
@@ -17,10 +20,10 @@ HORIZON = 800.0
 
 
 def test_single_tenant_matches_table1_min_jps(resnet18):
-    executor = SingleTenantExecutor(resnet18)
-    jps = executor.run(HORIZON)
+    jps = SingleTenantExecutor(resnet18).run(HORIZON)
     assert jps == pytest.approx(627.0, rel=0.05)
-    assert executor.measured_latency_ms() == pytest.approx(1.6, rel=0.1)
+    latencies = jps.metrics.low.response_times
+    assert left_sum(latencies) / len(latencies) == pytest.approx(1.6, rel=0.1)
 
 
 def test_single_tenant_unet_and_inception(unet, inceptionv3):
@@ -46,11 +49,13 @@ def test_batching_server_gain_ordering_across_models(unet, inceptionv3):
 
 
 def test_batching_server_records_batch_latencies(resnet18):
-    server = BatchingServer(resnet18, batch_size=4)
-    server.run_saturated(200.0)
-    assert server.completed_batches > 0
-    assert server.completed_jobs == server.completed_batches * 4
-    assert all(latency > 0 for latency in server.batch_latencies_ms)
+    low = BatchingServer(resnet18, batch_size=4).run_saturated(200.0).metrics.low
+    assert low.completed > 0 and low.completed % 4 == 0  # whole batches only
+    # Every job reports its batch's latency.
+    latencies = low.response_times
+    assert len(latencies) == low.completed
+    assert all(latency > 0 for latency in latencies)
+    assert all(len(set(latencies[i : i + 4])) == 1 for i in range(0, len(latencies), 4))
 
 
 def test_batching_server_rejects_invalid_batch(resnet18):
@@ -77,6 +82,33 @@ def test_gslice_partitions_run_every_model(resnet18, unet):
     assert results.total_jps == pytest.approx(per_model["resnet18"] + per_model["unet"])
     # Isolated halves cannot beat the whole-GPU batching baseline per model.
     assert per_model["resnet18"] < 1025.0
+
+
+def test_batched_runs_reuse_their_kernel_specs(monkeypatch):
+    """The engine memoizes launch invariants per spec object, so a batched
+    loop that built fresh specs per batch would grow that memo per launch.
+    Full and partial batches must reuse at most stages x batch size specs."""
+    launched = []
+    launch = GpuEngine.launch
+
+    def recording_launch(self, stream, spec, on_complete=None):
+        launched.append(spec)
+        return launch(self, stream, spec, on_complete=on_complete)
+
+    monkeypatch.setattr(GpuEngine, "launch", recording_launch)
+    model = build_model("resnet50")
+    bound = model.num_stages * 16
+
+    GSliceServer([model], batch_sizes=[16]).run_saturated(2000.0)
+    assert len(launched) > bound
+    assert len({id(spec) for spec in launched}) <= bound
+
+    launched.clear()
+    BatchingServer(model, batch_size=16).run_with_arrivals(
+        arrival_rate_jps=300.0, deadline_ms=100.0, horizon_ms=2000.0, timeout_ms=20.0
+    )
+    assert len(launched) > bound
+    assert len({id(spec) for spec in launched}) <= bound
 
 
 def test_gslice_validation(resnet18):

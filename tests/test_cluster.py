@@ -1,11 +1,11 @@
 """Tests for the multi-GPU cluster subsystem.
 
 Covers the ``ClusterConfig`` axis surface (validation, aliases, parse-time
-errors), the router policies (unit invariants plus an end-to-end dispatch
-invariant), determinism and cache round-trips, GPU-targeted fault injection with router
-failover, queue migration, per-GPU telemetry serialization, the registered
-``cluster`` experiment grid, and the text heatmap renderer the grid's rows
-feed.
+errors), the ledger's routing policies (unit invariants plus an end-to-end
+dispatch invariant), determinism and cache round-trips, GPU-targeted fault
+injection with router failover, queue migration, per-GPU telemetry
+serialization, the registered ``cluster`` experiment grid, and the text
+heatmap renderer the grid's rows feed.
 """
 
 from __future__ import annotations
@@ -17,16 +17,7 @@ import pytest
 from repro.backends import get_backend
 from repro.backends.base import BackendRequestError
 from repro.backends.configs import config_from_dict
-from repro.cluster import (
-    ClusterConfig,
-    ClusterServer,
-    DeadlineAwareRouter,
-    GpuLoadView,
-    LeastLoadedRouter,
-    PlacementSpec,
-    RoundRobinRouter,
-    make_router,
-)
+from repro.cluster import ClusterConfig, ClusterServer, DispatchLedger, PlacementSpec
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
@@ -148,61 +139,87 @@ def test_cluster_rejects_saturated_workloads():
 # ------------------------------------------------------------------ routers
 
 
-def _views(*loads, alive=None):
-    alive = alive or [True] * len(loads)
-    return [
-        GpuLoadView(index=i, outstanding_ms=load, queue_depth=i, alive=up)
-        for i, (load, up) in enumerate(zip(loads, alive))
-    ]
+def _ledger(router, *loads):
+    """A ledger holding ``loads`` (one device each) and its all-device group."""
+    ledger = DispatchLedger(len(loads), router)
+    for gpu, load in enumerate(loads):
+        ledger.load_changed(gpu, load)
+    return ledger, ledger.group_for(tuple(range(len(loads))))
 
 
 def test_least_loaded_router_picks_the_minimum_with_index_tiebreak():
-    router = LeastLoadedRouter()
-    assert router.select(0.0, 100.0, 5.0, _views(4.0, 2.0, 7.0)) == 1
-    assert router.select(0.0, 100.0, 5.0, _views(3.0, 3.0)) == 0  # tie -> low index
+    _, group = _ledger("least_loaded", 4.0, 2.0, 7.0)
+    assert group.least_loaded(0.0, 100.0, 5.0) == 1
+    _, group = _ledger("least_loaded", 3.0, 3.0)
+    assert group.least_loaded(0.0, 100.0, 5.0) == 0  # tie -> low index
 
 
 def test_round_robin_router_cycles_deterministically():
-    router = RoundRobinRouter()
-    picks = [router.select(0.0, 100.0, 5.0, _views(0.0, 0.0, 0.0)) for _ in range(6)]
+    _, group = _ledger("round_robin", 0.0, 0.0, 0.0)
+    picks = [group.round_robin(0.0, 100.0, 5.0) for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
 
 
 def test_round_robin_rotation_under_filtered_views():
-    """The cursor counts dispatches, not device positions: a filtered
-    eligible list is indexed at ``cursor mod len(eligible)``, keeping traffic
-    uniform over whatever devices are currently up (pinned semantics — see
-    the RoundRobinRouter docstring)."""
-    router = RoundRobinRouter()
-    full = _views(0.0, 0.0, 0.0, 0.0)
-    assert router.select(0.0, 100.0, 5.0, full) == 0  # cursor 0 -> position 0
-    assert router.select(0.0, 100.0, 5.0, full) == 1  # cursor 1 -> position 1
-    # Device 1 drops out: three eligible, cursor 2 -> position 2 -> index 3.
-    filtered = [view for view in full if view.index != 1]
-    assert router.select(0.0, 100.0, 5.0, filtered) == 3
+    """The cursor counts dispatches, not device positions: a narrowed member
+    tuple is indexed at ``cursor mod len(members)``, keeping traffic uniform
+    over whatever devices are currently up (pinned semantics — see the
+    ``repro.cluster.ledger`` docstring)."""
+    ledger, group = _ledger("round_robin", 0.0, 0.0, 0.0, 0.0)
+
+    def pick():
+        return group.round_robin(0.0, 100.0, 5.0)
+
+    assert pick() == 0  # cursor 0 -> position 0
+    assert pick() == 1  # cursor 1 -> position 1
+    # Device 1 degrades: three members, cursor 2 -> position 2 -> index 3.
+    ledger.degraded_changed(1, True)
+    assert group.members == (0, 2, 3)
+    assert pick() == 3
     # Narrower still (devices 2 and 3): cursor 3 -> position 1 -> index 3.
-    narrow = [view for view in full if view.index in (2, 3)]
-    assert router.select(0.0, 100.0, 5.0, narrow) == 3
-    # The full list returns: cursor 4 -> position 0, a fresh lap over all.
-    assert router.select(0.0, 100.0, 5.0, full) == 0
-    # select_index (the indexed fast path) shares the same cursor, so mixed
-    # fast/reference runs rotate exactly like an all-reference run.
-    assert router.select_index((0, 1, 2, 3)) == 1
-    assert router.select(0.0, 100.0, 5.0, full) == 2
+    ledger.degraded_changed(0, True)
+    assert pick() == 3
+    # Both recover: cursor 4 -> position 0, a fresh lap over all four.
+    ledger.degraded_changed(0, False)
+    ledger.degraded_changed(1, False)
+    assert [pick() for _ in range(3)] == [0, 1, 2]
+    # With every device degraded the group falls back to all of them.
+    for gpu in range(4):
+        ledger.degraded_changed(gpu, True)
+    assert group.members == (0, 1, 2, 3)
+    assert pick() == 3  # cursor 7
 
 
 def test_deadline_aware_router_packs_feasible_and_falls_back():
-    router = DeadlineAwareRouter()
+    _, group = _ledger("deadline_aware", 2.0, 10.0, 30.0)
     # GPU 1 is the most loaded that still meets the deadline -> packed there.
-    assert router.select(0.0, 20.0, 5.0, _views(2.0, 10.0, 30.0)) == 1
+    assert group.deadline_aware(0.0, 20.0, 5.0) == 1
     # Nothing feasible -> least-loaded fallback.
-    assert router.select(0.0, 4.0, 5.0, _views(2.0, 10.0, 30.0)) == 0
+    assert group.deadline_aware(0.0, 4.0, 5.0) == 0
 
 
-def test_make_router_rejects_unknown_names_with_the_vocabulary():
-    with pytest.raises(ValueError) as excinfo:
-        make_router("hash_ring")
-    assert "least_loaded" in str(excinfo.value)
+@pytest.mark.parametrize(
+    ("router", "degraded", "picks"),
+    [("least_loaded", 1, [0, 0, 1, 1]), ("deadline_aware", 2, [0, 0, 0, 2])],
+)
+def test_ledger_routes_over_alive_members_and_reindexes_on_recovery(
+    router, degraded, picks
+):
+    """A degraded device leaves its groups' index (here: the device each
+    policy would pick); load changes it sees while out are skipped, and it
+    rejoins at its current load when it recovers."""
+    ledger, group = _ledger(router, 4.0, 2.0, 7.0)
+    route = getattr(group, router)
+    seen = []
+    ledger.degraded_changed(degraded, True)
+    seen.append(route(0.0, 100.0, 5.0))
+    ledger.load_changed(degraded, 1.0)  # a non-member moves: not indexed
+    ledger.load_changed(0, 5.0)
+    seen.append(route(0.0, 100.0, 5.0))
+    ledger.degraded_changed(degraded, False)
+    seen.append(route(0.0, 100.0, 5.0))
+    seen.append(route(0.0, 6.5, 5.0))  # only the 1.0-loaded device is feasible
+    assert seen == picks
 
 
 def test_least_loaded_dispatch_invariant_end_to_end():
@@ -210,8 +227,8 @@ def test_least_loaded_dispatch_invariant_end_to_end():
     alive candidate at dispatch time — observed via the dispatch hook."""
     observed = []
 
-    def on_dispatch(now, model_name, chosen, views):
-        observed.append((chosen, tuple(views)))
+    def on_dispatch(now, model_name, chosen, views, deadline, predicted_ms):
+        observed.append((chosen, views))
 
     _serve(ClusterConfig(num_gpus=3), on_dispatch=on_dispatch)
     assert observed, "no dispatches observed"
@@ -288,9 +305,6 @@ def test_placement_spec_builds_replicated_and_partitioned_maps():
     # More models than devices: every model still gets at least one GPU.
     crowded = PlacementSpec.build("partitioned", ["a", "b", "c"], 2)
     assert crowded.gpus_for("c") == (0,)
-    reassigned = partitioned.reassign("a", (3,))
-    assert reassigned is None  # in-place primitive
-    assert partitioned.gpus_for("a") == (3,)
 
 
 def test_migration_moves_a_backlogged_queue_and_counts_it():

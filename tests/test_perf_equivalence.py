@@ -4,16 +4,18 @@ The GPU engine's incremental replanning, the cluster's ledger dispatch and
 the simulator's heap compaction are pure optimizations: for a fixed seed
 they must not change a single result.  ``tests/test_golden_digests.py`` pins
 that end to end against digests recorded before the reference paths were
-deleted; the tests here check that the fast paths actually engage, that the
-cluster's ledger routing agrees with the view-based routing it falls back
-to, and the simulator/runner infrastructure around them.
+deleted; the tests here check that the fast paths actually engage, that
+every pick of the cluster's ledger equals the reference scan over the
+candidate devices' load views, and the simulator/runner infrastructure
+around them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterServer
+from repro.cluster import ROUTER_POLICIES, ClusterConfig, ClusterServer, PlacementSpec
+from repro.cluster import server as server_module
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
 from repro.experiments.runner import run_daris_scenario
@@ -21,12 +23,12 @@ from repro.gpu.engine import GpuEngine
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
 from repro.scheduler.daris import DarisScheduler
-from repro.sim.faults import FaultSpec
+from repro.sim.faults import CrashFault, FaultSpec
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 from repro.sim.workload import POISSON_WORKLOAD
 
-from test_golden_digests import CLUSTER_MATRIX
+from test_golden_digests import CLUSTER_MATRIX, GOLDEN_DIGESTS, digest
 
 
 def _run_traced(seed: int = 1, horizon: float = 1000.0):
@@ -205,89 +207,125 @@ def test_parallel_runner_unordered_mode_returns_request_order():
 
 # ---------------------------------------------------- cluster ledger dispatch
 #
-# The dispatch ledger (heap/bisect routing index, incremental migration
-# trigger) must answer every routing question exactly as the router
-# policies' ``select`` scans over ``GpuLoadView`` tuples would — same floats,
-# same tie-breaks, same epsilon.  The view path stays in the server for the
-# ``on_dispatch`` observer and for degraded windows, so an observed run
-# routes every release through it; these tests pin the router x placement x
-# targeted-fault x migration matrix bit-identical between the two, per seed,
-# by comparing complete ``ScenarioMetrics`` (deep dataclass equality
-# including the per-request response-time lists and the per-GPU breakdown).
+# The dispatch ledger (heap/bisect/cursor routing index over each model's
+# alive devices) must answer every routing question exactly as the
+# reference scans below answer it over ``GpuLoadView`` snapshots of the same
+# devices — same floats, same tie-breaks, same epsilon.  These scans were the
+# router policies' ``select`` methods before the ledger became the only
+# routing implementation.
+
+_EPS = 1e-9
 
 
-def _serve_cluster_traced(cfg_kwargs, faults=None, seed=3, on_dispatch=None):
-    model = build_model("resnet18")
-    taskset = make_taskset(
-        [model], num_high=3, num_low=5, task_jps=40.0, name="cluster-eq"
-    )
-    server = ClusterServer(ClusterConfig(**cfg_kwargs))
-    metrics = server.serve(
-        taskset,
-        1500.0,
-        workload=POISSON_WORKLOAD,
-        rng=RngFactory(seed),
-        faults=faults,
-        on_dispatch=on_dispatch,
-    )
-    return metrics, server.indexed_engagements
+def _least_loaded(now, deadline, predicted_ms, views):
+    return min(views, key=lambda view: (view.outstanding_ms, view.index)).index
+
+
+def _deadline_aware(now, deadline, predicted_ms, views):
+    feasible = [
+        view for view in views if now + view.outstanding_ms + predicted_ms <= deadline + _EPS
+    ]
+    if feasible:
+        return max(feasible, key=lambda view: (view.outstanding_ms, -view.index)).index
+    return _least_loaded(now, deadline, predicted_ms, views)
+
+
+def _round_robin_scan():
+    """Rotation over the handed views; the cursor counts dispatches."""
+    cursor = 0
+
+    def select(now, deadline, predicted_ms, views):
+        nonlocal cursor
+        choice = views[cursor % len(views)].index
+        cursor += 1
+        return choice
+
+    return select
+
+
+def _reference_scan(router):
+    if router == "round_robin":
+        return _round_robin_scan()
+    return {"least_loaded": _least_loaded, "deadline_aware": _deadline_aware}[router]
+
+
+#: Every device throttled and crashing on its own random timeline.  Unlike
+#: the golden rows, these runs change the load of degraded devices and
+#: degrade all candidates at once (the fall-back-to-everyone case).
+_EVERY_GPU_FAULTED = FaultSpec.throttle(
+    period_ms=60.0, duration_ms=30.0, factor=0.5, random=True
+).with_crash(CrashFault(mtbf_ms=150.0, recovery_ms=40.0))
+
+_DISPATCH_ROWS = {
+    **CLUSTER_MATRIX,
+    # No golden row routes round-robin around a degraded device.
+    "round_robin-targeted-crash": (
+        dict(num_gpus=4, router="round_robin"),
+        FaultSpec.crashes(mtbf_ms=100.0, recovery_ms=60.0).targeting(1),
+    ),
+    **{
+        f"{router}-every-gpu-faulted": (dict(num_gpus=4, router=router), _EVERY_GPU_FAULTED)
+        for router in ROUTER_POLICIES
+    },
+}
 
 
 @pytest.mark.parametrize(
-    ("cfg_kwargs", "faults"), list(CLUSTER_MATRIX.values()), ids=list(CLUSTER_MATRIX)
+    ("name", "cfg_kwargs", "faults"),
+    [(name, *row) for name, row in _DISPATCH_ROWS.items()],
+    ids=list(_DISPATCH_ROWS),
 )
-def test_cluster_indexed_dispatch_trace_identical(cfg_kwargs, faults):
-    """Ledger routing vs view routing: merged metrics are bit-identical per seed."""
+def test_cluster_indexed_dispatch_trace_identical(name, cfg_kwargs, faults, monkeypatch):
+    """Every ledger pick equals the reference scan over the alive-filtered
+    eligible views, on the golden runs themselves (observing changes nothing),
+    and ``indexed_engagements`` counts every dispatch."""
+    workers = []
+    init = server_module._GpuWorker.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        workers.append(self)
+
+    monkeypatch.setattr(server_module._GpuWorker, "__init__", recording_init)
+    config = ClusterConfig(**cfg_kwargs)
+    # Without migration a model stays on its placement subset, so the
+    # candidates are fully determined by the devices' degraded flags.
+    migrating = config.migration_backlog > 0
+    placement = PlacementSpec.build(config.placement, ["resnet18"], config.num_gpus)
     for seed in (3, 11):
-        fast, engaged = _serve_cluster_traced(cfg_kwargs, faults, seed=seed)
-        viewed, view_engaged = _serve_cluster_traced(
-            cfg_kwargs, faults, seed=seed, on_dispatch=lambda *_: None
+        workers.clear()
+        select = _reference_scan(config.router)
+        dispatches = narrowed = 0
+
+        def on_dispatch(now, model_name, chosen, views, deadline, predicted_ms):
+            nonlocal dispatches, narrowed
+            dispatches += 1
+            if not migrating:
+                eligible = placement.gpus_for(model_name)
+                alive = [g for g in eligible if not workers[g].injector.degraded]
+                expected = alive or list(eligible)
+                assert views == tuple(workers[g].load_view() for g in expected)
+                narrowed += len(expected) < len(eligible)
+            assert chosen == select(now, deadline, predicted_ms, views)
+
+        server = ClusterServer(config)
+        metrics = server.serve(
+            make_taskset(
+                [build_model("resnet18")],
+                num_high=3,
+                num_low=5,
+                task_jps=40.0,
+                name="cluster-eq",
+            ),
+            1500.0,
+            workload=POISSON_WORKLOAD,
+            rng=RngFactory(seed),
+            faults=faults,
+            on_dispatch=on_dispatch,
         )
-        assert fast == viewed
-        assert engaged > 0
-        assert view_engaged == 0
-
-
-def test_cluster_indexed_dispatch_actually_engages():
-    """Fault-free runs resolve every dispatch through the index; targeted
-    faults fall back to view routing only inside degraded windows."""
-    metrics, engaged = _serve_cluster_traced(dict(num_gpus=4, router="least_loaded"))
-    dispatches = (
-        metrics.high.admitted
-        + metrics.high.rejected
-        + metrics.low.admitted
-        + metrics.low.rejected
-    )
-    assert engaged > 0
-    assert engaged >= dispatches  # every release routed through the index
-
-    faults = FaultSpec.crashes(mtbf_ms=100.0, recovery_ms=60.0).targeting(1)
-    _, engaged_faulted = _serve_cluster_traced(
-        dict(num_gpus=4, router="least_loaded"), faults
-    )
-    assert 0 < engaged_faulted < engaged
-
-
-def test_cluster_on_dispatch_hook_forces_reference_views():
-    """An observed run builds router views for every dispatch, so the hook
-    sees exactly what the router policy saw — and the observed choices match
-    the run's telemetry."""
-    observed = []
-    model = build_model("resnet18")
-    taskset = make_taskset([model], num_high=2, num_low=2, task_jps=30.0, name="hook")
-    server = ClusterServer(ClusterConfig(num_gpus=3, router="least_loaded"))
-    metrics = server.serve(
-        taskset,
-        800.0,
-        workload=POISSON_WORKLOAD,
-        rng=RngFactory(5),
-        on_dispatch=lambda now, name, chosen, views: observed.append((chosen, views)),
-    )
-    assert server.indexed_engagements == 0  # the hook pins view routing
-    assert len(observed) > 0
-    for chosen, views in observed:
-        eligible = [v for v in views if v.alive] or list(views)
-        best = min(eligible, key=lambda v: (v.outstanding_ms, v.index))
-        assert chosen == best.index
-    routed = sum(t.routed for t in metrics.gpu_breakdown)
-    assert routed == len(observed)
+        routed = sum(gpu.routed for gpu in metrics.gpu_breakdown)
+        assert dispatches == routed == server.indexed_engagements > 0
+        if name in CLUSTER_MATRIX:
+            assert digest(metrics) == GOLDEN_DIGESTS[f"cluster/{name}/seed{seed}"]
+        if faults is not None:
+            assert narrowed > 0, "no dispatch saw a degraded device"
