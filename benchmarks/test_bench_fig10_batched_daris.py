@@ -2,18 +2,18 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig10_batched
+from repro.experiments.engine import run_experiment
 
 
-def _run_all(quick):
+def _run_all():
     rows = []
     for model_name in ("resnet18", "unet", "inceptionv3"):
-        rows.extend(fig10_batched.run(model_name, quick))
+        rows.extend(run_experiment("fig10", params={"model_name": model_name}).rows)
     return rows
 
 
 def test_bench_fig10_batched_daris(benchmark):
-    rows = run_once(benchmark, _run_all, True)
+    rows = run_once(benchmark, _run_all)
     emit("Figure 10: DARIS + batching", rows)
 
     def best_gain(model):

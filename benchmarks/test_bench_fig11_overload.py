@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig11_overload
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig11_overload(benchmark):
-    rows = run_once(benchmark, fig11_overload.run, True)
+    rows = run_once(benchmark, run_experiment, "fig11").rows
     emit("Figure 11: overload and task ratios", rows)
 
     # Under full load there are no deadline misses for either priority.

@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig2_staging
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig2_virtual_deadlines(benchmark):
-    rows = run_once(benchmark, fig2_staging.run, True)
+    rows = run_once(benchmark, run_experiment, "fig2").rows
     emit("Figure 2: virtual deadlines per stage", rows)
 
     # Virtual deadline shares of each model sum to the task's relative deadline.

@@ -3,10 +3,13 @@
 from conftest import emit, run_once
 
 from repro.experiments import fig4_6_main
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig5_unet(benchmark):
-    rows = run_once(benchmark, fig4_6_main.run, "unet", True)
+    rows = run_once(
+        benchmark, run_experiment, "fig4_6", params={"model_name": "unet"}
+    ).rows
     emit("Figure 5: UNet scheduling results", rows)
 
     best = fig4_6_main.best_row(rows)

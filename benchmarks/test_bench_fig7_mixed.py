@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig7_mixed
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig7_mixed(benchmark):
-    rows = run_once(benchmark, fig7_mixed.run, True)
+    rows = run_once(benchmark, run_experiment, "fig7").rows
     emit("Figure 7: mixed task set", rows)
 
     best_mps = max((r for r in rows if r["policy"] == "MPS"), key=lambda r: r["total_jps"])

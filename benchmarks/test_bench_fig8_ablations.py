@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig8_ablations
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig8_ablations(benchmark):
-    rows = run_once(benchmark, fig8_ablations.run, True)
+    rows = run_once(benchmark, run_experiment, "fig8").rows
     emit("Figure 8: module ablations", rows)
 
     by_variant = {row["variant"]: row for row in rows}

@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig9_mret
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_fig9_mret(benchmark):
-    rows = run_once(benchmark, fig9_mret.run, True)
+    rows = run_once(benchmark, run_experiment, "fig9").rows
     emit("Figure 9: execution time vs MRET", rows)
 
     by_config = {row["config"]: row for row in rows}

@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import sota_comparison
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_sota_resnet50(benchmark):
-    rows = run_once(benchmark, sota_comparison.run, True)
+    rows = run_once(benchmark, run_experiment, "sota").rows
     emit("Section VI-B: ResNet50 comparison", rows)
 
     by_system = {row["system"]: row for row in rows}

@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import fig1_table1_batching
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_table1_fig1_batching(benchmark):
-    rows = run_once(benchmark, fig1_table1_batching.run, True)
+    rows = run_once(benchmark, run_experiment, "fig1_table1").rows
     emit("Table I / Figure 1: batching performance", rows)
 
     gains = {row["model"]: row for row in rows if row["batch_size"] == "gain"}

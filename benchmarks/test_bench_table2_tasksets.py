@@ -2,11 +2,11 @@
 
 from conftest import emit, run_once
 
-from repro.experiments import table2_tasksets
+from repro.experiments.engine import run_experiment
 
 
 def test_bench_table2_tasksets(benchmark):
-    rows = run_once(benchmark, table2_tasksets.run, True)
+    rows = run_once(benchmark, run_experiment, "table2").rows
     emit("Table II: task sets", rows)
 
     by_name = {row["task_set"]: row for row in rows}

@@ -9,28 +9,14 @@ Reproduces the questions of paper Sections II-C and VI-H on the simulated GPU:
 
 from repro import DarisConfig, build_model, run_daris_scenario, table2_taskset
 from repro.analysis import format_table
-from repro.baselines import SingleTenantExecutor, saturated_batching_jps
+from repro.experiments import run_experiment
 
 
 def main() -> None:
-    # Part 1: pure batching curves (Figure 1 / Table I).
-    rows = []
-    for name in ("resnet18", "unet", "inceptionv3"):
-        model = build_model(name)
-        single = SingleTenantExecutor(model).run(1000.0)
-        for batch in (2, 4, 8, 16):
-            jps = saturated_batching_jps(model, batch, horizon_ms=1000.0)
-            rows.append(
-                {
-                    "model": name,
-                    "batch": batch,
-                    "jps": round(jps, 1),
-                    "gain_vs_single": round(jps / single, 2),
-                    "paper_gain_at_max": model.profile.batching_gain,
-                }
-            )
+    # Part 1: pure batching curves (Figure 1 / Table I): the single-tenant and
+    # saturated batching baselines, run as backend requests by the engine.
     print("pure batching (upper baseline):")
-    print(format_table(rows))
+    print(format_table(run_experiment("fig1_table1").rows))
 
     # Part 2: DARIS with and without batching (Figure 10).
     rows = []

@@ -2,10 +2,10 @@
 
 Each backend adapts one existing scheduler/server to the uniform
 :class:`~repro.backends.base.SchedulerBackend` protocol.  The heterogeneous
-entry points — ``run_daris_scenario``, ``RtgpuScheduler.run_taskset``,
-``ClusterServer.serve`` (one GPU, for ``clockwork``),
-``GSliceServer.run_saturated`` (also behind ``SingleTenantExecutor.run`` and
-``BatchingServer.run_saturated``, as a one-partition server) and
+entry points — ``run_daris_scenario`` (also for ``rtgpu``, with the priority
+features off), ``ClusterServer.serve`` (one GPU, for ``clockwork``),
+``GSliceServer.run_saturated`` (also for ``single`` and the saturated
+``batching_server``, as a one-partition server) and
 ``BatchingServer.run_with_arrivals`` — all normalize to *(request in, result
 out)*, so every system gets caching, seed replication, CI aggregation and
 sharded sweeps from the experiment engine for free.
@@ -32,8 +32,6 @@ from repro.backends.configs import (
 from repro.backends.registry import register_backend
 from repro.baselines.batching_server import BatchingServer
 from repro.baselines.gslice import GSliceServer
-from repro.baselines.rtgpu import RtgpuScheduler
-from repro.baselines.single import SingleTenantExecutor
 from repro.cluster.config import ClusterConfig
 from repro.cluster.server import ClusterServer
 from repro.experiments.parallel import ScenarioRequest
@@ -59,6 +57,29 @@ def _check_warmup(backend: SchedulerBackend, request: ScenarioRequest) -> None:
             f"the {backend.name!r} backend excludes a {warmup_ms:g} ms warm-up"
             f" from its metrics; horizon_ms={request.horizon_ms:g} must exceed it"
         )
+
+
+def _saturated_result(
+    backend: SchedulerBackend, request: ScenarioRequest, batch_size: int
+) -> ScenarioResult:
+    """Back-to-back batches of the task set's one model on an idle GPU.
+
+    The single-tenant and saturated pure-batching baselines are both a
+    one-partition :class:`GSliceServer`, at batch size 1 and ``b``.
+    """
+    server = GSliceServer(
+        [backend.single_model(request.taskset)],
+        batch_sizes=[batch_size],
+        gpu=request.gpu,
+        calibration=request.calibration,
+    )
+    outcome = server.run_saturated(
+        request.horizon_ms,
+        faults=request.faults,
+        resilience=backend.resilience,
+        rng=RngFactory(request.seed),
+    )
+    return _result(request, outcome.metrics)
 
 
 def _min_relative_deadline_ms(taskset: TaskSetSpec) -> float:
@@ -102,7 +123,16 @@ class DarisBackend(SchedulerBackend):
 
 
 class RtgpuBackend(SchedulerBackend):
-    """RTGPU-like EDF scheduling: DARIS machinery, priorities disabled."""
+    """RTGPU-like EDF scheduling: DARIS machinery, priorities disabled.
+
+    RTGPU (Zou et al., TPDS 2023) schedules hard-deadline parallel tasks with
+    fine-grained utilization accounting, but — as the DARIS paper points
+    out — it lacks task prioritization, so high- and low-priority tasks
+    experience the same deadline miss behaviour (the paper quotes up to 11 %
+    overall misses).  The backend runs the DARIS scheduler with every
+    priority-related feature disabled: a single EDF level across all tasks
+    and no HP exemption from the admission test.
+    """
 
     name: ClassVar[str] = "rtgpu"
     title: ClassVar[str] = "RTGPU-like: EDF real-time scheduling without task priorities"
@@ -116,18 +146,24 @@ class RtgpuBackend(SchedulerBackend):
         _check_warmup(self, request)
 
     def run(self, request: ScenarioRequest) -> ScenarioResult:
-        scheduler = RtgpuScheduler(
-            request.config, gpu=request.gpu, calibration=request.calibration
-        )
-        metrics = scheduler.run_taskset(
+        result = run_daris_scenario(
             request.taskset,
+            request.config.with_overrides(
+                fixed_priority_levels=False,
+                prioritize_last_stage=False,
+                boost_missed_predecessor=False,
+                hp_admission=True,
+            ),
             request.horizon_ms,
             seed=request.seed,
+            gpu=request.gpu,
+            calibration=request.calibration,
             workload=request.workload,
             faults=request.faults,
             resilience=self.resilience,
         )
-        return _result(request, metrics)
+        # The result echoes the requested config, not the overridden one.
+        return _result(request, result.metrics)
 
 
 class ClockworkBackend(SchedulerBackend):
@@ -191,18 +227,7 @@ class SingleBackend(SchedulerBackend):
     resilience: ClassVar[ResiliencePolicy] = ResiliencePolicy(max_launch_retries=3)
 
     def run(self, request: ScenarioRequest) -> ScenarioResult:
-        executor = SingleTenantExecutor(
-            self.single_model(request.taskset),
-            gpu=request.gpu,
-            calibration=request.calibration,
-        )
-        outcome = executor.run(
-            request.horizon_ms,
-            faults=request.faults,
-            resilience=self.resilience,
-            rng=RngFactory(request.seed),
-        )
-        return _result(request, outcome.metrics)
+        return _saturated_result(self, request, batch_size=1)
 
 
 class BatchingBackend(SchedulerBackend):
@@ -229,17 +254,11 @@ class BatchingBackend(SchedulerBackend):
     def run(self, request: ScenarioRequest) -> ScenarioResult:
         model = self.single_model(request.taskset)
         batch_size = request.config.batch_size or model.profile.preferred_batch_size
+        if request.workload.saturated:
+            return _saturated_result(self, request, batch_size)
         server = BatchingServer(
             model, batch_size, gpu=request.gpu, calibration=request.calibration
         )
-        if request.workload.saturated:
-            outcome = server.run_saturated(
-                request.horizon_ms,
-                faults=request.faults,
-                resilience=self.resilience,
-                rng=RngFactory(request.seed),
-            )
-            return _result(request, outcome.metrics)
         outcome = server.run_with_arrivals(
             arrival_rate_jps=request.taskset.total_demand_jps,
             deadline_ms=_min_relative_deadline_ms(request.taskset),

@@ -1,17 +1,16 @@
-"""Pure-batching upper baseline (Table I ``max`` column, Figure 1).
+"""Pure-batching server driven by rate-based arrivals with deadlines.
 
 The batching server accumulates incoming requests into fixed-size batches and
-executes one batch at a time on the whole GPU.  Its *saturated* throughput --
-requests always waiting, so every batch is full -- is the paper's upper
-baseline; the server can also be driven by rate-based arrivals with deadlines
-(fixed-rate by default; Poisson, bursty MMPP, trace replay and jittered or
-diurnally modulated variants via a
-:class:`~repro.sim.workload.WorkloadSpec`) to show why batching alone is
+executes one batch at a time on the whole GPU.  Driven by rate-based arrivals
+with deadlines (fixed-rate by default; Poisson, bursty MMPP, trace replay and
+jittered or diurnally modulated variants via a
+:class:`~repro.sim.workload.WorkloadSpec`) it shows why batching alone is
 problematic for real-time workloads (jobs wait for their batch to fill).
 
-The saturated run is a one-partition
-:class:`~repro.baselines.gslice.GSliceServer` at the server's batch size;
-only the rate-driven run has its own loop.
+Its *saturated* throughput -- requests always waiting, so every batch is
+full -- is the paper's upper baseline (Table I ``max`` column, Figure 1):
+a one-partition :class:`~repro.baselines.gslice.GSliceServer` at the batch
+size, which the ``batching_server`` backend runs for saturated requests.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.baselines.gslice import GSliceServer
-from repro.baselines.results import JpsResult, single_class_metrics
+from repro.baselines.results import single_class_metrics
 from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
@@ -40,18 +38,6 @@ from repro.sim.faults import (
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 from repro.sim.workload import PERIODIC_WORKLOAD, ReleaseStream, WorkloadSpec
-
-
-def saturated_batching_jps(
-    model: DnnModel,
-    batch_size: int,
-    horizon_ms: float = 2000.0,
-    gpu: GpuSpec = RTX_2080_TI,
-    calibration: GpuCalibration = DEFAULT_CALIBRATION,
-) -> JpsResult:
-    """Measured throughput of back-to-back full batches on an idle GPU."""
-    server = BatchingServer(model, batch_size, gpu=gpu, calibration=calibration)
-    return server.run_saturated(horizon_ms)
 
 
 @dataclass(frozen=True)
@@ -95,39 +81,6 @@ class BatchingServer:
         self.calibration = calibration
         self.kernels = batched_kernel_specs(model, batch_size)
 
-    # ------------------------------------------------------------- saturated
-
-    def run_saturated(
-        self,
-        horizon_ms: float,
-        faults: Optional[FaultSpec] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        rng: Optional[RngFactory] = None,
-    ) -> JpsResult:
-        """Run with an always-full request queue; returns jobs per second.
-
-        The return value is the same throughput ``float`` as always
-        (:class:`~repro.baselines.results.JpsResult`), now also carrying
-        ``.metrics`` with each job's response time set to its batch latency.
-
-        ``faults`` / ``resilience`` inject the scenario's fault processes;
-        a batch launch that exhausts its retry budget loses the whole batch
-        (``failed`` counts one per request in it).  Request-level drops and
-        timeouts do not apply to the saturated closed loop.
-        """
-        server = GSliceServer(
-            [self.model],
-            batch_sizes=[self.batch_size],
-            gpu=self.gpu,
-            calibration=self.calibration,
-        )
-        outcome = server.run_saturated(
-            horizon_ms, faults=faults, resilience=resilience, rng=rng
-        )
-        return JpsResult(outcome.total_jps, outcome.metrics)
-
-    # ----------------------------------------------------------- rate-driven
-
     def run_with_arrivals(
         self,
         arrival_rate_jps: float,
@@ -155,7 +108,7 @@ class BatchingServer:
         :class:`~repro.sim.rng.RngFactory` or a bare generator), ``trace``
         replays explicit times, and jitter / diurnal modulators compose on
         any rate-driven kind.  Saturated workloads have no arrival stream —
-        use :meth:`run_saturated`.
+        run a one-partition :class:`~repro.baselines.gslice.GSliceServer`.
 
         ``faults`` / ``resilience`` inject the scenario's fault processes:
         requests can be dropped at arrival or abandoned by their client
@@ -169,7 +122,9 @@ class BatchingServer:
             raise ValueError("arrival rate, deadline and horizon must be positive")
         workload = workload if workload is not None else PERIODIC_WORKLOAD
         if workload.saturated:
-            raise ValueError("saturated workloads have no arrival stream; use run_saturated")
+            raise ValueError(
+                "saturated workloads have no arrival stream; run a one-partition GSliceServer"
+            )
         policy = resilience if resilience is not None else DEFAULT_POLICY
         injector = FaultInjector(
             faults, rng=rng if isinstance(rng, RngFactory) else None, policy=policy

@@ -9,7 +9,7 @@ therefore modest (the paper quotes ~3.5 % for ResNet50).
 :meth:`GSliceServer.run_saturated` is also the repository's one saturated
 closed loop: a one-partition server at batch size 1 is the single-tenant
 lower baseline and at batch size ``b`` the pure-batching upper baseline
-(:mod:`repro.baselines.single`, :mod:`repro.baselines.batching_server`).
+(the ``single`` and saturated ``batching_server`` backends).
 """
 
 from __future__ import annotations
@@ -183,8 +183,3 @@ class GSliceServer:
             fault_impact=FaultImpact.from_summary(injector.summary()),
         )
         return GSliceResult(metrics=metrics, per_model_jps=per_model)
-
-    @staticmethod
-    def reported_gain_over_batching() -> float:
-        """Throughput gain over pure batching reported by the GSlice paper (~3.5 %)."""
-        return 1.035

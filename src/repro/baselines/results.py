@@ -1,12 +1,8 @@
-"""Typed results for the baseline executors.
+"""Uniform metrics for the baseline servers.
 
-Every baseline returns a typed result carrying a full
-:class:`~repro.rt.metrics.ScenarioMetrics`, so the experiment engine treats
-them like DARIS (uniform metrics, cacheable).  The saturated executors
-return a :class:`JpsResult`: a ``float`` subclass (the measured
-jobs-per-second) that also exposes ``.metrics``, so ``executor.run(...) * 2``
-and ``pytest.approx`` comparisons work while new code reads the full
-metrics.
+Every baseline returns a full :class:`~repro.rt.metrics.ScenarioMetrics`,
+so the experiment engine treats them like DARIS (uniform metrics,
+cacheable).
 """
 
 from __future__ import annotations
@@ -14,33 +10,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.rt.metrics import FaultImpact, PriorityMetrics, ScenarioMetrics
-
-
-class JpsResult(float):
-    """A measured jobs-per-second value that also carries scenario metrics.
-
-    Behaves exactly like the ``float`` the saturated executors used to
-    return (arithmetic, formatting, ``pytest.approx``), while new callers
-    read ``.metrics`` for the uniform :class:`ScenarioMetrics` summary.
-    """
-
-    metrics: ScenarioMetrics
-
-    def __new__(cls, jps: float, metrics: ScenarioMetrics) -> "JpsResult":
-        result = super().__new__(cls, jps)
-        result.metrics = metrics
-        return result
-
-    def __getnewargs__(self):
-        # float.__getnewargs__ would reconstruct with the value alone and
-        # crash __new__; supplying both arguments keeps pickle/deepcopy
-        # working exactly as they did on the bare float.
-        return (float(self), self.metrics)
-
-    @property
-    def jps(self) -> float:
-        """The plain throughput value."""
-        return float(self)
 
 
 def accepted_miss_rate(metrics: ScenarioMetrics) -> float:

@@ -9,11 +9,10 @@ by cache-key range with append-only, resumable per-shard row stores.
 ``python -m repro.experiments`` is the CLI front end
 (``list`` / ``run`` / ``cache`` / ``sweep plan|run|status|merge``).
 
-Each module still exposes the historical ``run(quick=True)`` returning its
-result rows and a ``main()`` that prints them — both now thin wrappers over
-``run_experiment`` — so existing callers and notebooks keep working.  The
-``quick`` flag selects a reduced configuration grid and shorter simulation
-horizon; ``quick=False`` runs the full grids used for EXPERIMENTS.md.
+Run an experiment with ``run_experiment(name, params=...)`` or the CLI
+(``python -m repro.experiments run <name>``).  ``quick=True`` (the default,
+``--quick``) selects a reduced configuration grid and shorter simulation
+horizon; ``quick=False`` (``--full``) runs the full grids.
 
 ==========================  =======================================
 Module (registry name)      Paper artefact
@@ -29,6 +28,9 @@ Module (registry name)      Paper artefact
 ``fig11_overload``          Figure 11 (``fig11``)
 ``sota_comparison``         Section VI-B (``sota``)
 ``backend_grid``            Cross-backend grid (``backends``)
+``faults_grid``             Fault/resilience grid (``faults``)
+``dse_grid``                Design-space exploration (``dse``)
+``cluster_grid``            Multi-GPU serving grid (``cluster``)
 ==========================  =======================================
 
 Every scenario names its scheduler *backend* (``ScenarioRequest.scheduler``,

@@ -20,14 +20,10 @@ lanes run single-backend and single-workload slices).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.backends import get_backend
-from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig, SingleConfig
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -36,19 +32,17 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
-from repro.experiments.scenarios import best_config_for, named_workload
+from repro.experiments.scenarios import (
+    POISSON_BACKENDS,
+    SATURATED_BACKENDS,
+    backend_grid_config,
+    load_scaled_taskset,
+    named_workload,
+)
 from repro.numeric import left_sum
-from repro.rt.taskset import make_taskset
-from repro.sim.workload import POISSON_WORKLOAD, SATURATED_WORKLOAD
 
 #: The two SOTA-anchor models of the comparison (PAPERS.md: Clockwork, GSlice).
 MODELS = ("resnet50", "inceptionv3")
-
-#: Backends measured at saturation (request servers; load level is moot).
-SATURATED_BACKENDS = ("single", "batching_server", "gslice")
-
-#: Backends driven by rate-based arrivals at the task sets' mean rates.
-POISSON_BACKENDS = ("daris", "rtgpu", "clockwork", "batching_server")
 
 #: The rate-driven workload columns beyond plain Poisson: bursty MMPP and a
 #: sinusoidal diurnal profile, both run at the grid's highest load level.
@@ -61,32 +55,9 @@ def _loads(quick: bool) -> List[float]:
 
 
 def _grid_taskset(model, load_factor: float):
-    """A homogeneous task set demanding ``load_factor`` x the batching baseline."""
-    task_jps = 25.0
-    total_tasks = max(3, int(round(load_factor * model.profile.batched_max_jps / task_jps)))
-    num_high = max(1, total_tasks // 3)
-    return make_taskset(
-        [model],
-        num_high=num_high,
-        num_low=total_tasks - num_high,
-        task_jps=task_jps,
-        name=f"backend-grid/{model.name}/load{load_factor:.2f}",
+    return load_scaled_taskset(
+        model, load_factor, name=f"backend-grid/{model.name}/load{load_factor:.2f}"
     )
-
-
-def _config_for(backend_name: str, model):
-    """The canonical per-backend configuration of the grid."""
-    if backend_name in ("daris", "rtgpu"):
-        return best_config_for(model.name)
-    if backend_name == "clockwork":
-        return ClockworkConfig()
-    if backend_name == "single":
-        return SingleConfig()
-    if backend_name == "batching_server":
-        return BatchingConfig(batch_size=model.profile.preferred_batch_size)
-    if backend_name == "gslice":
-        return GSliceConfig(batch_sizes=(model.profile.preferred_batch_size,))
-    raise KeyError(f"no grid configuration for backend {backend_name!r}")
 
 
 def _build(ctx: BuildContext) -> ExperimentPlan:
@@ -111,7 +82,7 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
         requests.append(
             ScenarioRequest(
                 taskset,
-                _config_for(backend_name, model),
+                backend_grid_config(backend_name, model),
                 horizon,
                 seed=ctx.seed,
                 scheduler=backend_name,
@@ -180,37 +151,3 @@ SPEC = register(
         defaults={"model_name": None, "scheduler": None, "workload": None},
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-    model_name: Optional[str] = None,
-    scheduler: Optional[str] = None,
-    workload: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """One row per (backend, model, workload, load) grid cell."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"model_name": model_name, "scheduler": scheduler, "workload": workload},
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the cross-backend comparison grid."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

@@ -18,11 +18,9 @@ hundreds of thousands of entries.  Entries are self-describing (they embed
 the full request fingerprint), so ``prune`` / external tooling can inspect
 them without the originating code.
 
-Traced requests (``with_trace=True``) are **never** cached: a
-``TraceRecorder`` holds references to live ``Job``/``Task`` objects and is
-not serializable, and trace consumers (Figure 9) need the live objects
-anyway.  The engine skips the cache for those requests and :meth:`put`
-refuses them defensively.
+Traced requests (Figure 9) are cached like any other: the result's stage
+and job records are stored by column next to its metrics, and an untraced
+entry carries no ``"trace"`` key at all.
 """
 
 from __future__ import annotations
@@ -183,12 +181,9 @@ class ResultCache:
     def put(self, request: ScenarioRequest, result: ScenarioResult) -> bool:
         """Store a completed result; returns whether it was written.
 
-        Traced requests/results are refused (see module docstring).  Writes
-        are atomic (tempfile + ``os.replace``) so concurrent experiment
+        Writes are atomic (tempfile + ``os.replace``) so concurrent experiment
         processes sharing one cache directory can never observe a torn entry.
         """
-        if request.with_trace or result.trace is not None:
-            return False
         key = self.key_for(request)
         path = self.path_for(key)
         entry = {
@@ -207,7 +202,10 @@ class ResultCache:
                 prefix=f".{key[:8]}.", suffix=".tmp", dir=path.parent
             )
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"))
+                # One dumps() call, not dump(): dump() streams through the
+                # pure-Python encoder, several times slower on the
+                # megabyte-sized entries of traced results.
+                handle.write(json.dumps(entry, separators=(",", ":")))
             os.replace(temp_name, path)
         except OSError:
             if temp_name is not None:
@@ -252,8 +250,15 @@ class ResultCache:
             max_entries: keep at most this many of the most recently written
                 entries.
             max_age_days: additionally drop entries older than this many days.
+
+        Raises:
+            ValueError: a bound is negative.
         """
         import time
+
+        for name, bound in (("max_entries", max_entries), ("max_age_days", max_age_days)):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be >= 0, got {bound}")
 
         entries: List[tuple] = sorted(
             (path.stat().st_mtime, path) for path in self._entry_paths()

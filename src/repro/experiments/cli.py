@@ -96,6 +96,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a number >= 0, rejected with a clean usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _backend_name(text: str) -> str:
     """argparse type: a registered scheduler backend, rejected cleanly.
 
@@ -285,10 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--expect-cached",
         action="store_true",
-        help=(
-            f"exit {EXIT_NOT_CACHED} if any cacheable scenario had to be simulated"
-            " (traced scenarios are exempt: they bypass the cache by design)"
-        ),
+        help=f"exit {EXIT_NOT_CACHED} if any scenario had to be simulated",
     )
     run_parser.add_argument("--json", action="store_true", help="emit rows as JSON lines")
     run_parser.add_argument(
@@ -399,10 +407,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument("--clear", action="store_true", help="remove every entry")
     cache_parser.add_argument(
-        "--prune-max-entries", type=int, default=None, help="keep only the newest N entries"
+        "--prune-max-entries",
+        type=_nonnegative_int,
+        default=None,
+        help="keep only the newest N entries",
     )
     cache_parser.add_argument(
-        "--prune-max-age-days", type=float, default=None, help="drop entries older than N days"
+        "--prune-max-age-days",
+        type=_nonnegative_float,
+        default=None,
+        help="drop entries older than N days",
     )
 
     sweep_parser = subparsers.add_parser(
@@ -448,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=None,
-        help="worker processes for traced/missing scenarios (default: one per CPU)",
+        help="worker processes for missing scenarios (default: one per CPU)",
     )
     merge_parser.add_argument(
         "--simulate-missing",
@@ -615,10 +629,7 @@ def _print_report(report: ExperimentReport, as_json: bool) -> None:
     print(renderer(report.rows))
     if spec.highlights:
         print(f"paper highlights: {json.dumps(spec.highlights)}")
-    print(
-        f"scenarios: {report.cache_hits} cached, {report.simulated} simulated"
-        f" ({report.uncached} uncacheable)"
-    )
+    print(f"scenarios: {report.cache_hits} cached, {report.simulated} simulated")
     print()
 
 
@@ -711,11 +722,9 @@ def _command_run(args: argparse.Namespace) -> int:
             f"total: {len(specs)} experiment(s), {total_hits} scenario(s) from cache,"
             f" {total_simulated} simulated"
         )
-    # Cache misses == cacheable scenarios that had to run; traced scenarios
-    # (report.uncached) bypass the cache by design and don't fail the check.
     if args.expect_cached and (total_misses > 0 or args.no_cache):
         print(
-            f"--expect-cached: {total_misses} cacheable scenario(s) had to be simulated",
+            f"--expect-cached: {total_misses} scenario(s) had to be simulated",
             file=sys.stderr,
         )
         return EXIT_NOT_CACHED
@@ -806,16 +815,12 @@ def _command_dse(args: argparse.Namespace) -> int:
         if heatmap_text is not None:
             print()
             print(heatmap_text)
-        print(
-            f"scenarios: {report.cache_hits} cached, {report.simulated} simulated"
-            f" ({report.uncached} uncacheable)"
-        )
+        print(f"scenarios: {report.cache_hits} cached, {report.simulated} simulated")
     if args.heatmap_csv:
         print(f"heatmap CSV written to {args.heatmap_csv}", file=sys.stderr)
     if args.expect_cached and (report.cache_misses > 0 or args.no_cache):
         print(
-            f"--expect-cached: {report.cache_misses} cacheable scenario(s)"
-            " had to be simulated",
+            f"--expect-cached: {report.cache_misses} scenario(s) had to be simulated",
             file=sys.stderr,
         )
         return EXIT_NOT_CACHED
@@ -867,14 +872,9 @@ def _command_sweep_plan(args: argparse.Namespace) -> int:
     except SweepError as error:
         print(str(error), file=sys.stderr)
         return EXIT_SWEEP_INCOMPLETE
-    traced_note = (
-        f" ({len(grid.traced)} uncacheable scenario(s) excluded — merge simulates them)"
-        if grid.traced
-        else ""
-    )
     print(
         f"sweep plan: {len(grid.unique_units())} unit(s) across {args.shards} shard(s),"
-        f" grid {grid.fingerprint[:12]}{traced_note}"
+        f" grid {grid.fingerprint[:12]}"
     )
     for entry in entries:
         print(
@@ -990,8 +990,7 @@ def _command_sweep_merge(args: argparse.Namespace) -> int:
     if not args.json:
         print(
             f"merge: {merged.from_store} unit(s) from shard stores,"
-            f" {merged.from_cache} from cache, {merged.simulated} simulated,"
-            f" {merged.traced} traced"
+            f" {merged.from_cache} from cache, {merged.simulated} simulated"
         )
     return EXIT_OK
 

@@ -19,15 +19,12 @@ onto every cell.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis.tables import format_table
 from repro.cluster.config import ClusterConfig
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -208,35 +205,3 @@ SPEC = register(
         ),
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-    workload: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """One row per (router, gpus, workload, load) grid cell."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"workload": workload},
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the cluster serving grid."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

@@ -24,7 +24,7 @@ or drop the utilization objective for clockwork-only analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -36,12 +36,9 @@ from repro.analysis.pareto import (
     pareto_frontier,
     points_from_rows,
 )
-from repro.analysis.tables import format_table
 from repro.backends import get_backend
 from repro.backends.configs import ClockworkConfig
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -51,8 +48,8 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
+from repro.experiments.scenarios import load_scaled_taskset
 from repro.gpu.spec import RTX_2080_TI
-from repro.rt.taskset import make_taskset
 from repro.scheduler.config import DarisConfig
 from repro.sim.workload import POISSON_WORKLOAD
 
@@ -80,29 +77,16 @@ def _axis_values(quick_values: Sequence, full_values: Sequence, quick: bool) -> 
     return quick_values if quick else full_values
 
 
-def _dse_taskset(model):
-    """The grid's one scenario: ``LOAD_FACTOR`` x the batching baseline."""
-    task_jps = 25.0
-    total_tasks = max(
-        3, int(round(LOAD_FACTOR * model.profile.batched_max_jps / task_jps))
-    )
-    num_high = max(1, total_tasks // 3)
-    return make_taskset(
-        [model],
-        num_high=num_high,
-        num_low=total_tasks - num_high,
-        task_jps=task_jps,
-        name=f"dse/{model.name}/load{LOAD_FACTOR:.2f}",
-    )
-
-
 def _build(ctx: BuildContext) -> ExperimentPlan:
     horizon = 800.0 if ctx.quick else 2500.0
     scheduler_filter = ctx.param("scheduler")
     if scheduler_filter is not None:
         get_backend(str(scheduler_filter))  # unknown backend -> clean KeyError
     model = build_model(MODEL_NAME)
-    taskset = _dse_taskset(model)
+    # The grid's one scenario: LOAD_FACTOR x the batching baseline.
+    taskset = load_scaled_taskset(
+        model, LOAD_FACTOR, name=f"dse/{model.name}/load{LOAD_FACTOR:.2f}"
+    )
     sm_counts = _axis_values(SM_COUNTS_QUICK, SM_COUNTS_FULL, ctx.quick)
 
     requests: List[ScenarioRequest] = []
@@ -218,43 +202,3 @@ SPEC = register(
         ),
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-    scheduler: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """One heatmap-ready row per design point (axis settings + objectives)."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"scheduler": scheduler},
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run the design grid and render rows plus the Pareto frontier."""
-    rows = run(quick)
-    result = frontier_from_rows(rows)
-    table = format_table(rows)
-    frontier = ", ".join(point.key for point in result.frontier)
-    summary = (
-        f"{table}\n"
-        f"frontier: {len(result.frontier)} point(s); "
-        f"dominated: {len(result.dominated)}\n{frontier}"
-    )
-    print(summary)
-    return summary
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

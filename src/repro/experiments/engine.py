@@ -10,7 +10,8 @@ One code path executes every registered experiment:
    through :func:`run_scenarios_parallel`, and completed scenarios are
    written back to the cache *as they stream in* (``imap``), not after the
    whole sweep — an interrupted sweep therefore resumes from what already
-   finished.  Traced requests bypass the cache (see ``cache.py``).
+   finished.  Traced requests are cached like any other: their records are
+   plain values stored with the metrics.
 3. **Aggregate** — the spec's ``make_rows`` folds each seed's results into
    that seed's report rows; with several seeds the engine aggregates the
    per-seed rows column-wise into mean / stdev / 95 %-CI columns.  With one
@@ -45,7 +46,6 @@ class _ExecutionStats:
 
     cache_hits: int = 0
     cache_misses: int = 0
-    uncached: int = 0
     simulated: int = 0
 
 
@@ -57,14 +57,13 @@ def _serve_or_simulate(
     """Serve each request from the cache or simulate it; results in order.
 
     This is the single cache-consistency-critical path shared by
-    :func:`run_experiment` and :func:`run_cached_scenarios`: traced requests
-    bypass the cache in both directions, and misses are written back as they
-    stream off the pool (``on_result``), not after the sweep completes.
+    :func:`run_experiment` and :func:`run_cached_scenarios`: misses are
+    written back as they stream off the pool (``on_result``), not after the
+    sweep completes.
 
-    Value-identical cacheable requests (e.g. a seed-insensitive backend
-    replicated across the ``--seeds`` axis) are simulated once and the one
-    result serves every occurrence; traced requests are never coalesced
-    (their consumers hold the live simulator objects).
+    Value-identical requests (e.g. a seed-insensitive backend replicated
+    across the ``--seeds`` axis) are simulated once and the one result
+    serves every occurrence.
     """
     stats = _ExecutionStats()
     results: List[Optional[ScenarioResult]] = [None] * len(requests)
@@ -72,41 +71,27 @@ def _serve_or_simulate(
     pending: List[Tuple[ScenarioRequest, List[int]]] = []
     pending_slot: Dict[ScenarioRequest, int] = {}
 
-    def _enqueue(request: ScenarioRequest, index: int) -> None:
-        if request.with_trace:
-            pending.append((request, [index]))
-            return
+    for index, request in enumerate(requests):
+        if cache is not None:
+            cached = cache.get(request)
+            if cached is not None:
+                results[index] = cached
+                stats.cache_hits += 1
+                continue
+            stats.cache_misses += 1
         slot = pending_slot.get(request)
         if slot is None:
             pending_slot[request] = len(pending)
             pending.append((request, [index]))
         else:
             pending[slot][1].append(index)
-
-    for index, request in enumerate(requests):
-        if request.with_trace:
-            # Traces are inherently uncacheable (live simulator objects).
-            stats.uncached += 1
-            _enqueue(request, index)
-            continue
-        if cache is None:
-            # Cache disabled: plain simulation, no hit/miss/uncached accounting.
-            _enqueue(request, index)
-            continue
-        cached = cache.get(request)
-        if cached is not None:
-            results[index] = cached
-            stats.cache_hits += 1
-        else:
-            stats.cache_misses += 1
-            _enqueue(request, index)
     if pending:
 
         def _store(pending_index: int, result: ScenarioResult) -> None:
             request, indices = pending[pending_index]
             for index in indices:
                 results[index] = result
-            if cache is not None and not request.with_trace:
+            if cache is not None:
                 cache.put(request, result)
 
         run_scenarios_parallel(
@@ -128,9 +113,10 @@ class ExperimentReport:
         rows: the report rows — the spec's own rows for a single seed, or
             the CI-aggregated rows for a replicated run.
         rows_by_seed: the raw per-seed rows behind ``rows``.
-        cache_hits / cache_misses: cache outcomes for cacheable requests.
+        cache_hits / cache_misses: cache outcomes of the requests.
         simulated: scenarios that actually ran through the simulator.
-        uncached: scenarios executed outside the cache (traced requests).
+        uncached: always 0, since every request is cacheable, traced
+            ones included.  Kept because ``perfbench`` reads it.
     """
 
     spec: ExperimentSpec
@@ -327,7 +313,6 @@ def run_experiment(
         cache_hits=stats.cache_hits,
         cache_misses=stats.cache_misses,
         simulated=stats.simulated,
-        uncached=stats.uncached,
     )
 
 
@@ -424,7 +409,6 @@ def run_cached_scenarios(
     Used by ad-hoc sweeps (the ``examples/`` scripts) that want memoization
     without defining a registry spec: cached scenarios are served from disk,
     the rest are simulated in parallel and written back as they complete.
-    Traced requests always simulate.
     """
     results, _ = _serve_or_simulate(list(requests), processes, _resolve_cache(cache))
     return results

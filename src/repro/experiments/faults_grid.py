@@ -22,14 +22,10 @@ Parameters: ``--scheduler`` restricts the grid to one backend and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.backends import get_backend
-from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig, SingleConfig
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -38,17 +34,17 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
-from repro.experiments.scenarios import best_config_for, named_fault, named_workload
-from repro.rt.taskset import make_taskset
+from repro.experiments.scenarios import (
+    POISSON_BACKENDS,
+    SATURATED_BACKENDS,
+    backend_grid_config,
+    load_scaled_taskset,
+    named_fault,
+    named_workload,
+)
 
 #: One anchor model: the paper's Section VI-B comparison point.
 MODEL = "resnet50"
-
-#: Backends measured at saturation (request servers; load level is moot).
-SATURATED_BACKENDS = ("single", "batching_server", "gslice")
-
-#: Backends driven by Poisson arrivals at the task sets' mean rates.
-POISSON_BACKENDS = ("daris", "rtgpu", "clockwork", "batching_server")
 
 #: Every named fault profile is a grid column, fault-free ``none`` first —
 #: the baseline column each resilience policy is judged against.
@@ -61,32 +57,9 @@ def _loads(quick: bool) -> List[float]:
 
 
 def _grid_taskset(model, load_factor: float):
-    """A homogeneous task set demanding ``load_factor`` x the batching baseline."""
-    task_jps = 25.0
-    total_tasks = max(3, int(round(load_factor * model.profile.batched_max_jps / task_jps)))
-    num_high = max(1, total_tasks // 3)
-    return make_taskset(
-        [model],
-        num_high=num_high,
-        num_low=total_tasks - num_high,
-        task_jps=task_jps,
-        name=f"faults-grid/{model.name}/load{load_factor:.2f}",
+    return load_scaled_taskset(
+        model, load_factor, name=f"faults-grid/{model.name}/load{load_factor:.2f}"
     )
-
-
-def _config_for(backend_name: str, model):
-    """The canonical per-backend configuration of the grid."""
-    if backend_name in ("daris", "rtgpu"):
-        return best_config_for(model.name)
-    if backend_name == "clockwork":
-        return ClockworkConfig()
-    if backend_name == "single":
-        return SingleConfig()
-    if backend_name == "batching_server":
-        return BatchingConfig(batch_size=model.profile.preferred_batch_size)
-    if backend_name == "gslice":
-        return GSliceConfig(batch_sizes=(model.profile.preferred_batch_size,))
-    raise KeyError(f"no grid configuration for backend {backend_name!r}")
 
 
 def _build(ctx: BuildContext) -> ExperimentPlan:
@@ -110,7 +83,7 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
         requests.append(
             ScenarioRequest(
                 taskset,
-                _config_for(backend_name, model),
+                backend_grid_config(backend_name, model),
                 horizon,
                 seed=ctx.seed,
                 scheduler=backend_name,
@@ -180,36 +153,3 @@ SPEC = register(
         defaults={"scheduler": None, "fault": None},
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-    scheduler: Optional[str] = None,
-    fault: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """One row per (backend, fault profile, workload, load) grid cell."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"scheduler": scheduler, "fault": fault},
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the fault-injection grid."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

@@ -8,12 +8,9 @@ and the LP deadline miss rate (Figure 10g-i) across MPS configurations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -80,38 +77,3 @@ SPEC = register(
         defaults={"model_name": "resnet18"},
     )
 )
-
-
-def run(
-    model_name: str = "resnet18",
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """Sweep MPS configurations with and without batching for one network."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"model_name": model_name},
-    )
-    return report.rows
-
-
-def main(model_name: str = "resnet18", quick: bool = True) -> str:
-    """Run and render one panel set of Figure 10."""
-    rows = run(model_name, quick, processes=None)
-    table = format_table(rows)
-    print(table)
-    print(f"paper gain hint for {model_name}: {PAPER_GAIN_HINTS[model_name]}")
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for name in ("resnet18", "unet", "inceptionv3"):
-        main(name, quick=False)

@@ -14,12 +14,9 @@ compared, matching the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -94,28 +91,3 @@ SPEC = register(
         build=_build,
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    processes: Optional[int] = 1,
-    seeds: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """One row per (model, HP fraction, load scenario)."""
-    report = run_experiment(
-        SPEC, quick=quick, seeds=seeds, base_seed=seed, processes=processes, cache=cache
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Figure 11 reproduction (parallel sweep)."""
-    table = format_table(run(quick, processes=None))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

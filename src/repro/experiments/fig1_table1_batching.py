@@ -3,22 +3,21 @@
 For every benchmark network the single-stream throughput (Table I ``min``),
 the saturated batched throughput across batch sizes (Figure 1) and the
 resulting batching gain (Table I ``gain``) are measured on the simulated GPU
-using the lower / upper baseline executors.
+as saturated requests to the lower / upper baseline backends: one ``single``
+request per model and one ``batching_server`` request per batch size
+above 1.
 
-The baseline executors are deterministic (no scheduling noise), so the
+The baseline servers are deterministic (no scheduling noise), so the
 experiment registers as non-replicable: the ``--seeds`` axis does not apply.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.baselines.batching_server import saturated_batching_jps
-from repro.baselines.single import SingleTenantExecutor
+from repro.backends.configs import BatchingConfig, SingleConfig
 from repro.dnn.zoo import available_models, build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
+from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
     ExperimentPlan,
@@ -26,6 +25,8 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
+from repro.rt.taskset import make_taskset
+from repro.sim.workload import SATURATED_WORKLOAD
 
 PAPER_TABLE1 = {
     "resnet18": {"min_jps": 627.0, "max_jps": 1025.0, "gain": 1.63},
@@ -37,46 +38,59 @@ PAPER_TABLE1 = {
 BATCH_SIZES = [1, 2, 4, 8, 16, 32]
 
 
-def _make_rows(row_ctx: RowContext) -> List[Dict[str, object]]:
-    horizon = 1000.0 if row_ctx.quick else 3000.0
-    batch_sizes = [1, 4, 16] if row_ctx.quick else BATCH_SIZES
-    rows: List[Dict[str, object]] = []
-    for name in available_models():
-        model = build_model(name)
-        single_jps = SingleTenantExecutor(model).run(horizon)
-        best_jps = single_jps
+def _build(ctx: BuildContext) -> ExperimentPlan:
+    horizon = 1000.0 if ctx.quick else 3000.0
+    batch_sizes = [1, 4, 16] if ctx.quick else BATCH_SIZES
+    models = available_models()
+    requests: List[ScenarioRequest] = []
+    for name in models:
+        # One task of the model; a saturated request ignores its rate.
+        taskset = make_taskset(
+            [build_model(name)], num_high=0, num_low=1, task_jps=1.0, name=f"table1/{name}"
+        )
         for batch in batch_sizes:
-            if batch == 1:
-                jps = single_jps
-            else:
-                jps = saturated_batching_jps(model, batch, horizon_ms=horizon)
-            best_jps = max(best_jps, jps)
+            requests.append(
+                ScenarioRequest(
+                    taskset,
+                    SingleConfig() if batch == 1 else BatchingConfig(batch_size=batch),
+                    horizon,
+                    seed=ctx.seed,
+                    scheduler="single" if batch == 1 else "batching_server",
+                    workload=SATURATED_WORKLOAD,
+                )
+            )
+
+    def make_rows(row_ctx: RowContext) -> List[Dict[str, object]]:
+        results = iter(row_ctx.results)
+        rows: List[Dict[str, object]] = []
+        for name in models:
+            jps_by_batch = {batch: next(results).total_jps for batch in batch_sizes}
+            single_jps = jps_by_batch[1]
+            for batch, jps in jps_by_batch.items():
+                rows.append(
+                    {
+                        "model": name,
+                        "batch_size": batch,
+                        "measured_jps": round(jps, 1),
+                        "normalized": round(jps / single_jps, 2) if single_jps else 0.0,
+                    }
+                )
+            best_jps = max(jps_by_batch.values())
+            paper = PAPER_TABLE1[name]
             rows.append(
                 {
                     "model": name,
-                    "batch_size": batch,
-                    "measured_jps": round(jps, 1),
-                    "normalized": round(jps / single_jps, 2) if single_jps else 0.0,
+                    "batch_size": "gain",
+                    "measured_jps": round(best_jps, 1),
+                    "normalized": round(best_jps / single_jps, 2) if single_jps else 0.0,
+                    "paper_min": paper["min_jps"],
+                    "paper_max": paper["max_jps"],
+                    "paper_gain": paper["gain"],
                 }
             )
-        paper = PAPER_TABLE1[name]
-        rows.append(
-            {
-                "model": name,
-                "batch_size": "gain",
-                "measured_jps": round(best_jps, 1),
-                "normalized": round(best_jps / single_jps, 2) if single_jps else 0.0,
-                "paper_min": paper["min_jps"],
-                "paper_max": paper["max_jps"],
-                "paper_gain": paper["gain"],
-            }
-        )
-    return rows
+        return rows
 
-
-def _build(ctx: BuildContext) -> ExperimentPlan:
-    del ctx  # the batching curves use no scenario requests
-    return ExperimentPlan(requests=[], make_rows=_make_rows)
+    return ExperimentPlan(requests=requests, make_rows=make_rows)
 
 
 SPEC = register(
@@ -88,19 +102,3 @@ SPEC = register(
         replicable=False,
     )
 )
-
-
-def run(quick: bool = True, cache: Union[ResultCache, str, None] = None) -> List[Dict[str, object]]:
-    """Measure the batching curve of every model; one row per (model, batch size)."""
-    return run_experiment(SPEC, quick=quick, cache=cache).rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Table I / Figure 1 reproduction."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

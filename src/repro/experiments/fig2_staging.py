@@ -10,12 +10,9 @@ as non-replicable: the ``--seeds`` axis does not apply.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.dnn.zoo import available_models, build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.registry import (
     BuildContext,
     ExperimentPlan,
@@ -61,19 +58,3 @@ SPEC = register(
         replicable=False,
     )
 )
-
-
-def run(quick: bool = True, cache: Union[ResultCache, str, None] = None) -> List[Dict[str, object]]:
-    """One row per (model, stage) with its deadline share."""
-    return run_experiment(SPEC, quick=quick, cache=cache).rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Figure 2 reproduction."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,12 +10,9 @@ upper (pure batching) baselines from Table I.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.analysis.tables import format_table
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -74,57 +71,9 @@ SPEC = register(
 )
 
 
-def run(
-    model_name: str = "resnet18",
-    quick: bool = True,
-    seed: int = 1,
-    processes: Optional[int] = 1,
-    seeds: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """Sweep the configuration grid for one task set; one row per configuration.
-
-    ``processes`` > 1 (or None for one worker per CPU) fans the grid out over
-    a process pool; each scenario keeps its fixed seed, so the rows are
-    identical to a serial sweep.  ``seeds`` > 1 replicates the sweep across
-    consecutive seeds and aggregates mean / stdev / 95 %-CI columns.
-    """
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"model_name": model_name},
-    )
-    return report.rows
-
-
 def best_row(rows: List[Dict[str, object]], policy: Optional[str] = None) -> Dict[str, object]:
     """Row with the highest throughput (optionally restricted to one policy)."""
     candidates = [row for row in rows if policy is None or row["policy"] == policy]
     if not candidates:
         raise ValueError("no rows to select from")
     return max(candidates, key=lambda row: row["total_jps"])
-
-
-def main(model_name: str = "resnet18", quick: bool = True) -> str:
-    """Run and render one of Figures 4-6 (parallel sweep, one worker per CPU)."""
-    rows = run(model_name, quick, processes=None)
-    highlights = PAPER_HIGHLIGHTS[model_name]
-    table = format_table(rows)
-    best = best_row(rows)
-    summary = (
-        f"\nbest configuration: {best['policy']} {best['config']} OS{best['oversubscription']}"
-        f" -> {best['total_jps']} JPS"
-        f" (paper best {highlights['best_jps']} JPS,"
-        f" batching baseline {highlights['upper_baseline']} JPS)"
-    )
-    print(table + summary)
-    return table + summary
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for name in ("resnet18", "unet", "inceptionv3"):
-        main(name, quick=False)

@@ -7,11 +7,8 @@ reliable deadline behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -56,35 +53,3 @@ SPEC = register(
         build=_build,
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    processes: Optional[int] = 1,
-    seeds: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """Sweep STR and MPS configurations over the mixed task set."""
-    report = run_experiment(
-        SPEC, quick=quick, seeds=seeds, base_seed=seed, processes=processes, cache=cache
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Figure 7 reproduction (parallel sweep)."""
-    rows = run(quick, processes=None)
-    best_mps = max((r for r in rows if r["policy"] == "MPS"), key=lambda r: r["total_jps"])
-    best_str = max((r for r in rows if r["policy"] == "STR"), key=lambda r: r["total_jps"])
-    table = format_table(rows)
-    summary = (
-        f"\nbest MPS: {best_mps['config']} OS{best_mps['oversubscription']} -> {best_mps['total_jps']} JPS"
-        f" | best STR: {best_str['config']} -> {best_str['total_jps']} JPS"
-    )
-    print(table + summary)
-    return table + summary
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

@@ -8,11 +8,8 @@ configuration.  The paper reports response-time ranges per priority
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -74,35 +71,3 @@ SPEC = register(
         defaults={"model_name": "resnet18"},
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    model_name: str = "resnet18",
-    processes: Optional[int] = 1,
-    seeds: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """One row per scheduler variant."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"model_name": model_name},
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Figure 8 reproduction (parallel sweep)."""
-    table = format_table(run(quick, processes=None))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

@@ -6,18 +6,15 @@ under the most volatile one (3x3 OS1, where execution frequently exceeds the
 prediction).  This experiment reproduces the two traces and summarises how
 often MRET under-predicts in each.
 
-The scenario requests carry ``with_trace=True``; traced results hold live
-simulator objects and therefore bypass the result cache entirely (they are
-re-simulated on every run — see ``repro/experiments/cache.py``).
+The scenario requests carry ``with_trace=True``.  The stage and job records
+of a traced result are plain values, so they are cached with its metrics
+and a warm run re-simulates nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -26,7 +23,6 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
-from repro.experiments.runner import run_daris_scenario
 from repro.experiments.scenarios import best_config_for, horizon_ms, worst_dmr_config
 from repro.numeric import left_sum
 from repro.rt.taskset import table2_taskset
@@ -83,56 +79,10 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
 SPEC = register(
     ExperimentSpec(
         name="fig9",
+        # "uncached" no longer holds; the title stays byte-identical because
+        # `list --json` prints it, and scripts may match on that listing.
         title="Figure 9: execution time vs MRET prediction (traced, uncached)",
         build=_build,
         defaults={"window_size": 5},
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    window_size: int = 5,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """One row per configuration with MRET tracking statistics."""
-    report = run_experiment(
-        SPEC,
-        quick=quick,
-        seeds=seeds,
-        base_seed=seed,
-        processes=processes,
-        cache=cache,
-        params={"window_size": window_size},
-    )
-    return report.rows
-
-
-def trace_series(quick: bool = True, seed: int = 1) -> Dict[str, List[tuple]]:
-    """The raw (time, execution, MRET) series for both configurations."""
-    taskset = table2_taskset("resnet18")
-    horizon = horizon_ms(quick)
-    series: Dict[str, List[tuple]] = {}
-    for label, config in (
-        ("6x1 OS6", best_config_for("resnet18")),
-        ("3x3 OS1", worst_dmr_config()),
-    ):
-        result = run_daris_scenario(
-            taskset, config, horizon, seed=seed, with_trace=True, label=label
-        )
-        series[label] = result.trace.execution_vs_mret(taskset.tasks[0].name)
-    return series
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Figure 9 reproduction."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

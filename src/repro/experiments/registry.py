@@ -17,10 +17,11 @@ A spec's ``build(ctx)`` returns an :class:`ExperimentPlan`:
   existed, and with several seeds the engine aggregates the per-seed rows
   into mean / stdev / 95 %-CI columns.
 
-Analytic experiments (Table II, Figure 2, the batching curves) return an
-empty request list and compute their rows directly in ``make_rows``; they
-mark themselves ``replicable=False`` so the engine does not pointlessly
-replicate a deterministic computation across seeds.
+Analytic experiments (Table II, Figure 2) return an empty request list and
+compute their rows directly in ``make_rows``.  They, and the deterministic
+baseline curves of Table I, mark themselves ``replicable=False`` so the
+engine does not pointlessly replicate a deterministic computation across
+seeds.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared scenario runner used by every experiment module."""
+"""The DARIS scenario runner and the result type every backend returns."""
 
 from __future__ import annotations
 
@@ -49,23 +49,23 @@ class ScenarioResult:
         return self.metrics.high.deadline_miss_rate
 
     def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-safe form of the result — *minus the trace*.
+        """Lossless JSON-safe form of the result.
 
-        A :class:`TraceRecorder` holds references to live ``Job`` / ``Task``
-        objects and is deliberately not serializable; traced results are
-        therefore never written to the result cache (the cache refuses them).
+        The ``"trace"`` key appears only on traced results, so an untraced
+        result serializes exactly as it did before traces were cacheable.
         """
-        if self.trace is not None:
-            raise ValueError("traced ScenarioResults cannot be serialized (TraceRecorder)")
-        return {
+        data: Dict[str, object] = {
             "label": self.label,
             "config": self.config.to_dict(),
             "metrics": self.metrics.to_dict(),
         }
+        if self.trace is not None:
+            data["trace"] = self.trace.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioResult":
-        """Rebuild a (trace-less) result from :meth:`to_dict` output.
+        """Rebuild a result (and its trace, if any) from :meth:`to_dict` output.
 
         Backend configs serialize with a ``"kind"`` tag and dispatch to
         their own class; untagged config dictionaries are ``DarisConfig``
@@ -80,7 +80,7 @@ class ScenarioResult:
             label=str(data["label"]),
             config=config_from_dict(data["config"]),
             metrics=ScenarioMetrics.from_dict(data["metrics"]),
-            trace=None,
+            trace=TraceRecorder.from_dict(data["trace"]) if "trace" in data else None,
         )
 
 

@@ -5,6 +5,10 @@ partitioning policies with oversubscription levels ``OS in {1, 1.5, 2, Nc}``.
 ``main_grid`` reproduces that sweep; ``quick_grid`` is the reduced subset used
 by the benchmark suite.
 
+The cross-backend grids (``backends``, ``faults``, ``dse`` and ``sota``)
+share one load-scaled task set (:func:`load_scaled_taskset`) and one
+canonical configuration per backend (:func:`backend_grid_config`).
+
 :data:`NAMED_WORKLOADS` is the matching vocabulary for the *workload* half of
 a scenario: the canonical, CLI-addressable arrival processes the sweepable
 grids (and the ``--workload`` slice flag) use as columns.
@@ -24,8 +28,16 @@ overrides that address it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.backends.configs import (
+    BatchingConfig,
+    ClockworkConfig,
+    GSliceConfig,
+    SingleConfig,
+)
+from repro.dnn.model import DnnModel
+from repro.rt.taskset import TaskSetSpec, make_taskset
 from repro.scheduler.config import DarisConfig, Policy
 from repro.sim.faults import (
     NO_FAULTS,
@@ -158,6 +170,48 @@ def best_config_for(model_name: str) -> DarisConfig:
 def worst_dmr_config() -> DarisConfig:
     """The configuration the paper highlights as the most volatile (3x3 OS1)."""
     return DarisConfig.mps_str_config(3, 3, 1.0)
+
+
+#: Backends the cross-backend grids measure at saturation (request servers;
+#: the load level is moot).
+SATURATED_BACKENDS = ("single", "batching_server", "gslice")
+
+#: Backends the cross-backend grids drive by rate-based arrivals at the task
+#: sets' mean rates.
+POISSON_BACKENDS = ("daris", "rtgpu", "clockwork", "batching_server")
+
+
+def load_scaled_taskset(model: DnnModel, load_factor: float, name: str) -> TaskSetSpec:
+    """A homogeneous task set demanding ``load_factor`` x the batching baseline.
+
+    Tasks run at 25 JPS each (at least three of them), and a third of them
+    (at least one) are high priority.
+    """
+    task_jps = 25.0
+    total_tasks = max(3, int(round(load_factor * model.profile.batched_max_jps / task_jps)))
+    num_high = max(1, total_tasks // 3)
+    return make_taskset(
+        [model],
+        num_high=num_high,
+        num_low=total_tasks - num_high,
+        task_jps=task_jps,
+        name=name,
+    )
+
+
+def backend_grid_config(backend_name: str, model: DnnModel):
+    """The canonical configuration of one backend in the cross-backend grids."""
+    if backend_name in ("daris", "rtgpu"):
+        return best_config_for(model.name)
+    if backend_name == "clockwork":
+        return ClockworkConfig()
+    if backend_name == "single":
+        return SingleConfig()
+    if backend_name == "batching_server":
+        return BatchingConfig(batch_size=model.profile.preferred_batch_size)
+    if backend_name == "gslice":
+        return GSliceConfig(batch_sizes=(model.profile.preferred_batch_size,))
+    raise KeyError(f"no grid configuration for backend {backend_name!r}")
 
 
 def horizon_ms(quick: bool = False) -> float:

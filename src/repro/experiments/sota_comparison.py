@@ -16,14 +16,11 @@ point by hand outside the engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.analysis.tables import format_table
 from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig
 from repro.baselines.results import accepted_miss_rate
 from repro.dnn.zoo import build_model
-from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_experiment
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
     BuildContext,
@@ -32,8 +29,7 @@ from repro.experiments.registry import (
     RowContext,
     register,
 )
-from repro.experiments.scenarios import horizon_ms
-from repro.rt.taskset import make_taskset
+from repro.experiments.scenarios import horizon_ms, load_scaled_taskset
 from repro.scheduler.config import DarisConfig
 from repro.sim.workload import SATURATED_WORKLOAD
 
@@ -45,24 +41,10 @@ PAPER_VALUES = {
 }
 
 
-def _resnet50_taskset(model, load_factor: float = 1.5):
-    """A ResNet50 task set demanding ``load_factor`` x the batching baseline."""
-    task_jps = 25.0
-    total_tasks = max(3, int(round(load_factor * model.profile.batched_max_jps / task_jps)))
-    num_high = max(1, total_tasks // 3)
-    return make_taskset(
-        [model],
-        num_high=num_high,
-        num_low=total_tasks - num_high,
-        task_jps=task_jps,
-        name="resnet50-sota",
-    )
-
-
 def _build(ctx: BuildContext) -> ExperimentPlan:
     model = build_model("resnet50")
     horizon = 1500.0 if ctx.quick else horizon_ms(False)
-    taskset = _resnet50_taskset(model)
+    taskset = load_scaled_taskset(model, 1.5, name="resnet50-sota")
 
     best_config = DarisConfig.mps_config(6, 6.0)
     no_oversub_config = DarisConfig.mps_config(6, 1.0)
@@ -143,28 +125,3 @@ SPEC = register(
         highlights=PAPER_VALUES,
     )
 )
-
-
-def run(
-    quick: bool = True,
-    seed: int = 1,
-    seeds: int = 1,
-    processes: Optional[int] = 1,
-    cache: Union[ResultCache, str, None] = None,
-) -> List[Dict[str, object]]:
-    """One row per system (batching, GSlice, DARIS, DARIS w/o OS, Clockwork, RTGPU)."""
-    report = run_experiment(
-        SPEC, quick=quick, seeds=seeds, base_seed=seed, processes=processes, cache=cache
-    )
-    return report.rows
-
-
-def main(quick: bool = True) -> str:
-    """Run and render the Section VI-B comparison."""
-    table = format_table(run(quick))
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(quick=False)

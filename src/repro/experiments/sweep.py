@@ -31,10 +31,9 @@ past both limits:
   so the merged rows are byte-identical to a single-machine
   ``run_experiment`` of the same grid.
 
-Traced requests (``with_trace=True``) carry live simulator objects and can
-be neither cached nor stored; they are excluded from the shardable units and
-re-simulated by ``merge``, exactly as plain ``run`` re-simulates them on
-every invocation.
+Traced requests (Figure 9) are ordinary units: their results serialize with
+their trace records, so they shard, commit and merge like every other
+scenario.
 
 **Config sweeps need no special handling here.**  ``--set`` config-axis
 overrides (see :mod:`repro.experiments.scenarios`) travel inside ``params``
@@ -147,7 +146,7 @@ class SweepUnit:
     flat_index: int  # position in the spec's seed-major flat request grid
     seed: int
     request: ScenarioRequest
-    key: str  # the request's cache key ("" only for traced units)
+    key: str  # the request's cache key
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,7 @@ class SweepGrid:
     """Every selected spec's expanded grid, flattened into shardable units."""
 
     expanded: Tuple[ExpandedExperiment, ...]
-    units: Tuple[SweepUnit, ...]  # cacheable units, across all specs
-    traced: Tuple[SweepUnit, ...]  # uncacheable units; merge simulates these
+    units: Tuple[SweepUnit, ...]  # every spec's units, in spec order
     fingerprint: str
 
     def expanded_by_name(self) -> Dict[str, ExpandedExperiment]:
@@ -205,7 +203,6 @@ def build_sweep_grid(
     ownership, and the same fingerprint.
     """
     units: List[SweepUnit] = []
-    traced: List[SweepUnit] = []
     expanded: List[ExpandedExperiment] = []
     for spec in _resolve_specs(experiments):
         expansion = expand_experiment(
@@ -214,14 +211,15 @@ def build_sweep_grid(
         expanded.append(expansion)
         width = expansion.requests_per_seed
         for flat_index, request in enumerate(expansion.requests):
-            unit = SweepUnit(
-                experiment=spec.name,
-                flat_index=flat_index,
-                seed=expansion.seed_values[flat_index // width],
-                request=request,
-                key="" if request.with_trace else request.cache_key(),
+            units.append(
+                SweepUnit(
+                    experiment=spec.name,
+                    flat_index=flat_index,
+                    seed=expansion.seed_values[flat_index // width],
+                    request=request,
+                    key=request.cache_key(),
+                )
             )
-            (traced if request.with_trace else units).append(unit)
 
     keys_digest = hashlib.sha256(
         "".join(sorted(unit.key for unit in units)).encode("ascii")
@@ -233,7 +231,10 @@ def build_sweep_grid(
         "seeds": seeds,
         "base_seed": base_seed,
         "num_units": len(units),
-        "num_traced": len(traced),
+        # Traced units were once kept out of the grid and counted here; the
+        # constant keeps every trace-free grid's fingerprint, so its shard
+        # stores still resume.
+        "num_traced": 0,
         "keys": keys_digest,
     }
     fingerprint = hashlib.sha256(
@@ -242,7 +243,6 @@ def build_sweep_grid(
     return SweepGrid(
         expanded=tuple(expanded),
         units=tuple(units),
-        traced=tuple(traced),
         fingerprint=fingerprint,
     )
 
@@ -534,12 +534,11 @@ class ShardRunReport:
 
     shard_index: int
     num_shards: int
-    total_units: int  # cacheable units in the whole grid
+    total_units: int  # distinct units in the whole grid
     shard_units: int  # units this shard owns
     already_committed: int = 0  # served by the row store (a previous run)
     from_cache: int = 0  # committed now from a cache hit, no simulation
     simulated: int = 0  # actually simulated by this invocation
-    uncacheable: int = 0  # traced units excluded grid-wide (merge simulates)
 
     @property
     def complete(self) -> bool:
@@ -607,7 +606,6 @@ def run_sweep_shard(
         total_units=len(unique_units),
         shard_units=len(shard_units),
         already_committed=len(shard_units) - len(pending),
-        uncacheable=len(grid.traced),
     )
     if not pending:
         return report
@@ -764,7 +762,6 @@ class SweepMergeReport:
     from_store: int = 0  # units served by shard row stores
     from_cache: int = 0  # units the stores lacked but the cache held
     simulated: int = 0  # units simulated by the merge itself
-    traced: int = 0  # traced scenarios (always simulated)
 
 
 def merge_sweep(
@@ -781,22 +778,22 @@ def merge_sweep(
     """Fold every shard's row store back into per-spec report rows.
 
     Results are sourced per unit: shard row stores first, the shared cache
-    second, the simulator last — and only for traced requests (which can
-    never be stored) unless ``simulate_missing`` is set.  With every shard
+    second, the simulator last — and only when ``simulate_missing`` is set.
+    With every shard
     complete the merge touches no simulator at all and its rows are
     byte-identical to a single-machine ``run_experiment`` of the same grid,
     because both paths share the grid expansion and row aggregation code.
 
     Raises:
         SweepGridMismatch: a store under ``sweep_dir`` belongs to another grid.
-        SweepIncomplete: cacheable units are missing everywhere and
+        SweepIncomplete: units are missing everywhere and
             ``simulate_missing`` is off.
     """
     grid = build_sweep_grid(
         experiments, quick=quick, seeds=seeds, base_seed=base_seed, params=params
     )
     result_cache = _resolve_cache(cache)
-    report = SweepMergeReport(traced=len(grid.traced))
+    report = SweepMergeReport()
 
     committed: Dict[str, Dict[str, object]] = {}
     for store in discover_shard_stores(sweep_dir):
@@ -811,8 +808,7 @@ def merge_sweep(
         expansion.spec.name: {"store": 0, "cache": 0, "simulated": 0}
         for expansion in grid.expanded
     }
-    pending: List[SweepUnit] = list(grid.traced)
-    missing = 0
+    pending: List[SweepUnit] = []
     for unit in grid.units:
         record = committed.get(unit.key)
         result = _result_from_payload(record["result"]) if record is not None else None
@@ -828,16 +824,15 @@ def merge_sweep(
             report.from_cache += 1
             served[unit.experiment]["cache"] += 1
             continue
-        missing += 1
         pending.append(unit)
     # Every record has been consulted exactly once; drop the raw payloads
     # before the simulation fan-out so peak memory is one result set, not two.
     committed.clear()
-    if missing and not simulate_missing:
+    if pending and not simulate_missing:
         raise SweepIncomplete(
-            f"{missing} scenario(s) of the grid are in no shard store and not in"
-            " the cache; finish the shards (sweep run) or pass --simulate-missing",
-            missing=missing,
+            f"{len(pending)} scenario(s) of the grid are in no shard store and not"
+            " in the cache; finish the shards (sweep run) or pass --simulate-missing",
+            missing=len(pending),
         )
 
     if pending:
@@ -845,11 +840,10 @@ def merge_sweep(
         def _place(index: int, result: ScenarioResult) -> None:
             unit = pending[index]
             results[unit.experiment][unit.flat_index] = result
-            served[unit.experiment]["simulated"] += 1  # traced count as simulated
-            if not unit.request.with_trace:
-                if result_cache is not None:
-                    result_cache.put(unit.request, result)
-                report.simulated += 1
+            served[unit.experiment]["simulated"] += 1
+            if result_cache is not None:
+                result_cache.put(unit.request, result)
+            report.simulated += 1
 
         run_scenarios_parallel(
             [unit.request for unit in pending],
@@ -870,7 +864,6 @@ def merge_sweep(
                 rows_by_seed=rows_by_seed,
                 cache_hits=served[name]["store"] + served[name]["cache"],
                 simulated=served[name]["simulated"],
-                uncached=sum(1 for unit in grid.traced if unit.experiment == name),
             )
         )
     return report

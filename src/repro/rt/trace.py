@@ -5,12 +5,17 @@ its MRET prediction over time, for a well-behaved configuration (6x1 OS6) and
 for a volatile one (3x3 OS1).  The :class:`TraceRecorder` captures exactly the
 information needed for that comparison, plus per-job records used by the
 response-time analysis (Figure 8a).
+
+The records are plain values (floats, ints, strings and a
+:class:`~repro.rt.task.Priority`), so a recorder serializes losslessly to
+JSON (:meth:`TraceRecorder.to_dict`) and traced results are cached like any
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.rt.task import Priority
 
@@ -45,6 +50,28 @@ class JobTraceRecord:
     context_index: int
 
 
+def _to_columns(records: Sequence[object], record_type: type) -> Dict[str, list]:
+    """One list per record field; priorities are stored as their ints."""
+    columns: Dict[str, list] = {}
+    for field in fields(record_type):
+        values = [getattr(record, field.name) for record in records]
+        if field.name == "priority":
+            values = [int(value) for value in values]
+        columns[field.name] = values
+    return columns
+
+
+def _from_columns(columns: Mapping[str, Sequence[object]], record_type: type) -> list:
+    """Inverse of :func:`_to_columns`; ragged columns raise ``ValueError``."""
+    data = []
+    for field in fields(record_type):
+        values = columns[field.name]
+        if field.name == "priority":
+            values = [Priority(value) for value in values]
+        data.append(values)
+    return [record_type(*row) for row in zip(*data, strict=True)]
+
+
 class TraceRecorder:
     """Collects stage- and job-level records during a run."""
 
@@ -52,6 +79,30 @@ class TraceRecorder:
         self.enabled = enabled
         self.stage_records: List[StageTraceRecord] = []
         self.job_records: List[JobTraceRecord] = []
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecorder):
+            return NotImplemented
+        return (self.enabled, self.stage_records, self.job_records) == (
+            other.enabled,
+            other.stage_records,
+            other.job_records,
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        """Lossless JSON-safe form, stored by column: one list per field."""
+        return {
+            "stages": _to_columns(self.stage_records, StageTraceRecord),
+            "jobs": _to_columns(self.job_records, JobTraceRecord),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Mapping[str, Sequence[object]]]) -> "TraceRecorder":
+        """Rebuild an enabled recorder from :meth:`to_dict` output."""
+        recorder = cls(enabled=True)
+        recorder.stage_records = _from_columns(data["stages"], StageTraceRecord)
+        recorder.job_records = _from_columns(data["jobs"], JobTraceRecord)
+        return recorder
 
     def record_stage(self, record: StageTraceRecord) -> None:
         """Append a stage record (no-op when disabled)."""

@@ -22,19 +22,17 @@ from repro.backends.configs import (
     SingleConfig,
     config_from_dict,
 )
-from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
+from repro.baselines.batching_server import BatchingServer
 from repro.baselines.gslice import GSliceServer
 from repro.baselines.results import accepted_miss_rate
-from repro.baselines.rtgpu import RtgpuScheduler
-from repro.baselines.single import SingleTenantExecutor
 from repro.cluster.config import ClusterConfig
 from repro.cluster.server import ClusterServer
 from repro.experiments.engine import run_cached_scenarios, run_experiment
 from repro.experiments.parallel import ScenarioRequest
-from repro.experiments.runner import ScenarioResult
-from repro.experiments.sota_comparison import _resnet50_taskset
+from repro.experiments.runner import ScenarioResult, run_daris_scenario
+from repro.experiments.scenarios import load_scaled_taskset
 from repro.dnn.zoo import build_model
-from repro.rt.taskset import mixed_taskset, table2_taskset
+from repro.rt.taskset import make_taskset, mixed_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
 from repro.sim.workload import (
     PERIODIC_WORKLOAD,
@@ -473,24 +471,14 @@ def test_gslice_typed_result(resnet18):
     assert outcome.total_jps == pytest.approx(outcome.per_model_jps["resnet18"])
 
 
-def test_single_tenant_run_is_still_a_float_with_metrics(resnet18):
-    outcome = SingleTenantExecutor(resnet18).run(HORIZON)
-    assert isinstance(outcome, float)
-    assert outcome == outcome.metrics.total_jps
-    assert outcome.metrics.low.completed == int(round(outcome * HORIZON / 1000.0))
-    assert len(outcome.metrics.low.response_times) == outcome.metrics.low.completed
-
-
-def test_jps_result_survives_pickle_and_deepcopy(resnet18):
-    """Regression: the bare float these methods used to return pickled and
-    deep-copied fine; the metrics-carrying subclass must too."""
-    import copy
-    import pickle
-
-    outcome = SingleTenantExecutor(resnet18).run(HORIZON)
-    for clone in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome)):
-        assert float(clone) == float(outcome)
-        assert clone.metrics == outcome.metrics
+def test_single_backend_metrics_count_every_completed_job(resnet18):
+    taskset = make_taskset([resnet18], num_high=0, num_low=1, task_jps=1.0)
+    request = ScenarioRequest(
+        taskset, SingleConfig(), HORIZON, scheduler="single", workload=SATURATED_WORKLOAD
+    )
+    metrics = get_backend("single").execute(request).metrics
+    assert metrics.low.completed == int(round(metrics.total_jps * HORIZON / 1000.0))
+    assert len(metrics.low.response_times) == metrics.low.completed
 
 
 def test_batching_arrivals_typed_result(resnet18):
@@ -511,7 +499,7 @@ def test_sota_engine_rows_match_legacy_direct_baseline_calls():
     pre-backend implementation computed by calling each baseline's bespoke
     entry point directly (same seeds, float-exact)."""
     model = build_model("resnet50")
-    taskset = _resnet50_taskset(model)
+    taskset = load_scaled_taskset(model, 1.5, name="resnet50-sota")
     seed = 1
 
     requests = [
@@ -544,18 +532,22 @@ def test_sota_engine_rows_match_legacy_direct_baseline_calls():
     ]
     batching, gslice, clockwork, rtgpu = run_cached_scenarios(requests, processes=1)
 
-    assert batching.total_jps == float(
-        saturated_batching_jps(model, batch_size=16, horizon_ms=HORIZON)
-    )
+    assert batching.metrics == GSliceServer([model], batch_sizes=[16]).run_saturated(
+        HORIZON
+    ).metrics
     assert gslice.total_jps == GSliceServer([model], batch_sizes=[16]).run_saturated(
         HORIZON
     ).total_jps
     direct_clockwork = ClusterServer(ClusterConfig(num_gpus=1)).serve(taskset, HORIZON)
     assert clockwork.total_jps == direct_clockwork.total_jps
-    legacy_rtgpu = RtgpuScheduler(DarisConfig.mps_config(6, 6.0)).run_taskset(
-        taskset, HORIZON, seed=seed
+    priorities_off = DarisConfig.mps_config(6, 6.0).with_overrides(
+        fixed_priority_levels=False,
+        prioritize_last_stage=False,
+        boost_missed_predecessor=False,
+        hp_admission=True,
     )
-    assert rtgpu.metrics == legacy_rtgpu
+    legacy_rtgpu = run_daris_scenario(taskset, priorities_off, HORIZON, seed=seed)
+    assert rtgpu.metrics == legacy_rtgpu.metrics
 
 
 def test_backend_grid_spec_expands_and_filters(tmp_path):

@@ -1,55 +1,71 @@
-"""Tests for the baseline executors and schedulers."""
+"""Tests for the baseline servers and the baseline backends."""
 
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.configs import ClockworkConfig
-from repro.baselines.batching_server import BatchingServer, saturated_batching_jps
+from repro.backends.configs import BatchingConfig, ClockworkConfig, SingleConfig
+from repro.baselines.batching_server import BatchingServer
 from repro.baselines.gslice import GSliceServer
 from repro.baselines.results import accepted_miss_rate
-from repro.baselines.rtgpu import RtgpuScheduler
-from repro.baselines.single import SingleTenantExecutor
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
 from repro.gpu.engine import GpuEngine
 from repro.numeric import left_sum
 from repro.rt.taskset import make_taskset
 from repro.scheduler.config import DarisConfig
+from repro.sim.workload import SATURATED_WORKLOAD
 
 HORIZON = 800.0
 
 
+def _saturated(model, config, scheduler):
+    """Metrics of a saturated one-model request to a baseline backend."""
+    taskset = make_taskset([model], num_high=0, num_low=1, task_jps=1.0)
+    request = ScenarioRequest(
+        taskset, config, HORIZON, scheduler=scheduler, workload=SATURATED_WORKLOAD
+    )
+    return get_backend(scheduler).execute(request).metrics
+
+
+def _single_jps(model) -> float:
+    return _saturated(model, SingleConfig(), "single").total_jps
+
+
+def _batching_jps(model, batch_size: int) -> float:
+    config = BatchingConfig(batch_size=batch_size)
+    return _saturated(model, config, "batching_server").total_jps
+
+
 def test_single_tenant_matches_table1_min_jps(resnet18):
-    jps = SingleTenantExecutor(resnet18).run(HORIZON)
-    assert jps == pytest.approx(627.0, rel=0.05)
-    latencies = jps.metrics.low.response_times
+    metrics = _saturated(resnet18, SingleConfig(), "single")
+    assert metrics.total_jps == pytest.approx(627.0, rel=0.05)
+    latencies = metrics.low.response_times
     assert left_sum(latencies) / len(latencies) == pytest.approx(1.6, rel=0.1)
 
 
 def test_single_tenant_unet_and_inception(unet, inceptionv3):
-    assert SingleTenantExecutor(unet).run(HORIZON) == pytest.approx(241.0, rel=0.05)
-    assert SingleTenantExecutor(inceptionv3).run(HORIZON) == pytest.approx(142.0, rel=0.06)
+    assert _single_jps(unet) == pytest.approx(241.0, rel=0.05)
+    assert _single_jps(inceptionv3) == pytest.approx(142.0, rel=0.06)
 
 
 def test_single_tenant_rejects_bad_horizon(resnet18):
     with pytest.raises(ValueError):
-        SingleTenantExecutor(resnet18).run(0.0)
+        GSliceServer([resnet18], batch_sizes=[1]).run_saturated(0.0)
 
 
 def test_batching_server_saturated_approaches_table1_max(resnet18):
-    jps = saturated_batching_jps(resnet18, batch_size=16, horizon_ms=HORIZON)
-    assert jps == pytest.approx(1025.0, rel=0.07)
+    assert _batching_jps(resnet18, 16) == pytest.approx(1025.0, rel=0.07)
 
 
 def test_batching_server_gain_ordering_across_models(unet, inceptionv3):
-    unet_gain = saturated_batching_jps(unet, 8, HORIZON) / 241.0
-    inception_gain = saturated_batching_jps(inceptionv3, 8, HORIZON) / 142.0
+    unet_gain = _batching_jps(unet, 8) / 241.0
+    inception_gain = _batching_jps(inceptionv3, 8) / 142.0
     assert inception_gain > 2.0
     assert unet_gain < 1.3
 
 
 def test_batching_server_records_batch_latencies(resnet18):
-    low = BatchingServer(resnet18, batch_size=4).run_saturated(200.0).metrics.low
+    low = GSliceServer([resnet18], batch_sizes=[4]).run_saturated(200.0).metrics.low
     assert low.completed > 0 and low.completed % 4 == 0  # whole batches only
     # Every job reports its batch's latency.
     latencies = low.response_times
@@ -149,7 +165,10 @@ def test_clockwork_drops_when_overloaded(resnet18):
 
 def test_rtgpu_has_no_priority_differentiation(resnet18):
     taskset = make_taskset([resnet18], num_high=6, num_low=12, task_jps=30.0)
-    metrics = RtgpuScheduler(DarisConfig.mps_config(4, 4.0)).run_taskset(taskset, HORIZON, seed=2)
+    request = ScenarioRequest(
+        taskset, DarisConfig.mps_config(4, 4.0), HORIZON, seed=2, scheduler="rtgpu"
+    )
+    metrics = get_backend("rtgpu").execute(request).metrics
     assert metrics.total_jps > 0
     # Without prioritization both classes see similar treatment: HP is not
     # shielded, so its miss/rejection behaviour is no longer strictly better.

@@ -404,8 +404,7 @@ def test_fault_spec_gpu_target_serializes_only_when_set():
 
 
 def test_cluster_grid_expands_filters_and_caches(tmp_path):
-    from repro.experiments.cluster_grid import run
-    from repro.experiments.engine import expand_experiment
+    from repro.experiments.engine import expand_experiment, run_experiment
 
     plan = expand_experiment("cluster", quick=True)
     routers = {request.config.router for request in plan.requests}
@@ -413,16 +412,21 @@ def test_cluster_grid_expands_filters_and_caches(tmp_path):
     assert len(routers) >= 2 and len(gpu_counts) >= 2
     assert all(request.scheduler == "cluster" for request in plan.requests)
 
+    def run(cache=None, workload=None):
+        return run_experiment(
+            "cluster", quick=True, cache=cache, params={"workload": workload}
+        ).rows
+
     cache_dir = str(tmp_path / "cache")
-    rows = run(quick=True, cache=cache_dir, workload="poisson")
+    rows = run(cache=cache_dir, workload="poisson")
     assert rows and {row["workload"] for row in rows} == {"poisson"}
     for row in rows:
         assert {"router", "gpus", "load", "miss_rate", "max_queue"} <= set(row)
     # Cached re-run reproduces the rows bit-identically.
-    assert run(quick=True, cache=cache_dir, workload="poisson") == rows
+    assert run(cache=cache_dir, workload="poisson") == rows
 
     with pytest.raises(KeyError):
-        run(quick=True, workload="does-not-exist")
+        run(workload="does-not-exist")
 
 
 # ---------------------------------------------------------------- heatmap
@@ -458,8 +462,10 @@ def test_heatmap_renders_means_and_marks_missing_cells():
 
 def test_heatmap_works_on_cluster_grid_rows(tmp_path):
     from repro.analysis.heatmap import render_heatmap
-    from repro.experiments.cluster_grid import run
+    from repro.experiments.engine import run_experiment
 
-    rows = run(quick=True, cache=str(tmp_path / "cache"), workload="poisson")
+    rows = run_experiment(
+        "cluster", quick=True, cache=str(tmp_path / "cache"), params={"workload": "poisson"}
+    ).rows
     text = render_heatmap(rows, x="gpus", y="router", metric="miss_rate")
     assert "least_loaded" in text and "round_robin" in text

@@ -3,12 +3,13 @@
 Covers the registry/engine/cache stack: request value identity and cache-key
 invalidation, lossless metric round-trips, cache hit/miss behaviour with
 bit-identical cached rows, seed replication against a hand-rolled serial
-loop, traced-request cache bypass, and the CLI round-trip (second invocation
-served entirely from cache, zero simulator runs).
+loop, traced results cached like any other, and the CLI round-trip (second
+invocation served entirely from cache, zero simulator runs).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -126,17 +127,28 @@ def test_metrics_round_trip_is_lossless(resnet18):
     assert restored.config.label() == result.config.label()
 
 
-def test_traced_results_refuse_serialization(resnet18):
+def test_traced_results_round_trip_through_json(resnet18):
     taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
     result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2, with_trace=True)
-    with pytest.raises(ValueError):
-        result.to_dict()
+    payload = json.loads(json.dumps(result.to_dict()))
+    # Records are stored by column, priorities as their ints.
+    assert set(payload["trace"]["stages"]["priority"]) <= {0, 1}
+    restored = ScenarioResult.from_dict(payload)
+    assert restored == result
+    assert repr(restored.trace.stage_records) == repr(result.trace.stage_records)
+    assert repr(restored.trace.job_records) == repr(result.trace.job_records)
+    # An untraced result serializes without a trace key at all.
+    assert set(dataclasses.replace(result, trace=None).to_dict()) == {
+        "label",
+        "config",
+        "metrics",
+    }
 
 
 # ------------------------------------------------------------------------ cache
 
 
-def test_cache_hit_miss_and_traced_refusal(tmp_path, resnet18):
+def test_cache_hit_miss_and_traced_round_trip(tmp_path, resnet18):
     cache = ResultCache(tmp_path / "cache")
     taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
     request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
@@ -147,13 +159,15 @@ def test_cache_hit_miss_and_traced_refusal(tmp_path, resnet18):
     assert cached == result
     # mutating any field invalidates: a different seed misses
     assert cache.get(ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=3)) is None
-    # traced requests are refused outright
+    # a traced request is its own entry, stored with its trace
     traced_request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2, with_trace=True)
     traced_result = run_daris_scenario(
         taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2, with_trace=True
     )
-    assert not cache.put(traced_request, traced_result)
-    assert len(cache) == 1
+    assert cache.put(traced_request, traced_result)
+    assert len(cache) == 2
+    assert cache.get(traced_request) == traced_result
+    assert cache.get(request).trace is None
 
 
 def test_unwritable_cache_degrades_to_uncached(tmp_path, resnet18, monkeypatch):
@@ -208,6 +222,27 @@ def test_cache_prune_and_clear(tmp_path, resnet18):
     assert len(cache) == 0
 
 
+def test_negative_prune_bounds_are_rejected_before_deleting(tmp_path, resnet18, capsys):
+    """Regression: a negative bound used to empty the cache (``max_entries
+    = -1`` kept ``len - (-1)`` too few; a negative age moved the cutoff
+    into the future)."""
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    for seed in (1, 2, 3):
+        cache.put(ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=seed), result)
+    with pytest.raises(ValueError, match="max_entries"):
+        cache.prune(max_entries=-1)
+    with pytest.raises(ValueError, match="max_age_days"):
+        cache.prune(max_age_days=-1.0)
+    for flag in ("--prune-max-entries", "--prune-max-age-days"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["cache", "--cache-dir", str(cache.cache_dir), flag, "-1"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert flag in capsys.readouterr().err
+    assert len(cache) == 3
+
+
 def test_cached_rows_are_bit_identical_to_fresh(tmp_path):
     spec = _tiny_spec()
     cache = ResultCache(tmp_path / "cache")
@@ -232,16 +267,16 @@ def test_run_cached_scenarios_round_trip(tmp_path):
     assert first == second
 
 
-def test_traced_requests_bypass_cache_in_engine(tmp_path):
-    spec = _tiny_spec(with_trace=True)
+def test_traced_requests_are_served_from_cache_in_engine(tmp_path):
+    spec = _tiny_spec(with_trace=True)  # its rows assert each result's trace
     cache = ResultCache(tmp_path / "cache")
     first = run_experiment(spec, quick=True, processes=1, cache=cache)
+    assert first.simulated == first.cache_misses == len(TINY_CONFIGS)
     second = run_experiment(spec, quick=True, processes=1, cache=cache)
-    for report in (first, second):
-        assert report.simulated == len(TINY_CONFIGS)
-        assert report.uncached == len(TINY_CONFIGS)
-        assert report.cache_hits == 0
-    assert len(cache) == 0
+    assert second.simulated == 0 and second.cache_hits == len(TINY_CONFIGS)
+    assert second.rows == first.rows
+    assert first.uncached == second.uncached == 0
+    assert len(cache) == len(TINY_CONFIGS)
 
 
 # -------------------------------------------------------------------- replication
@@ -454,12 +489,6 @@ def test_registry_lists_every_paper_artefact():
         get_experiment("fig99")
 
 
-def test_module_run_wrappers_delegate_to_the_engine():
-    from repro.experiments import table2_tasksets
-
-    assert table2_tasksets.run() == run_experiment("table2").rows
-
-
 # -------------------------------------------------------------------------- CLI
 
 
@@ -598,12 +627,16 @@ def test_cli_repeat_invocation_served_from_cache(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_expect_cached_exempts_traced_scenarios(tmp_path, capsys):
-    """fig9's traced scenarios bypass the cache by design; they must not fail
-    --expect-cached, or `run --all --expect-cached` could never pass."""
-    args = [
-        "run", "fig9", "--quick", "--jobs", "1",
-        "--cache-dir", str(tmp_path / "cache"), "--expect-cached",
-    ]
-    assert cli.main(args) == cli.EXIT_OK
-    assert "2 simulated (2 uncacheable)" in capsys.readouterr().out
+def test_cli_expect_cached_covers_traced_and_table1_scenarios(tmp_path, capsys):
+    """fig9's traced scenarios and Table I's baseline runs are cached like
+    every other scenario: 2 + 12 simulate once, then replay from cache, and
+    --expect-cached exempts nothing."""
+    args = ["run", "fig1_table1", "fig9", "--quick", "--jobs", "1"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(args + cache) == cli.EXIT_OK
+    assert "0 scenario(s) from cache, 14 simulated" in capsys.readouterr().out
+    assert cli.main(args + cache + ["--expect-cached"]) == cli.EXIT_OK
+    assert "14 scenario(s) from cache, 0 simulated" in capsys.readouterr().out
+    cold = ["run", "fig9", "--quick", "--jobs", "1", "--cache-dir", str(tmp_path / "cold")]
+    assert cli.main(cold + ["--expect-cached"]) == cli.EXIT_NOT_CACHED
+    capsys.readouterr()

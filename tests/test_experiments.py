@@ -8,7 +8,8 @@ invariants that the rest of the repository depends on.
 import pytest
 
 from repro.dnn.zoo import build_model
-from repro.experiments import fig2_staging, table2_tasksets
+from repro.experiments import cli
+from repro.experiments.engine import run_experiment
 from repro.experiments.runner import run_daris_scenario
 from repro.experiments.scenarios import (
     best_config_for,
@@ -63,7 +64,7 @@ def test_runner_produces_scenario_result(resnet18):
 
 
 def test_table2_experiment_rows_match_paper():
-    rows = table2_tasksets.run()
+    rows = run_experiment("table2").rows
     assert len(rows) == 3
     for row in rows:
         assert row["num_high"] == row["paper_high"]
@@ -71,7 +72,7 @@ def test_table2_experiment_rows_match_paper():
 
 
 def test_fig2_virtual_deadline_rows_are_consistent():
-    rows = fig2_staging.run()
+    rows = run_experiment("fig2").rows
     models = {row["model"] for row in rows}
     assert models == {"resnet18", "resnet50", "unet", "inceptionv3"}
     for model in models:
@@ -80,10 +81,9 @@ def test_fig2_virtual_deadline_rows_are_consistent():
 
 
 def test_fig2_main_renders_a_table(capsys):
-    text = fig2_staging.main()
-    captured = capsys.readouterr()
-    assert "resnet18" in text
-    assert "resnet18" in captured.out
+    assert cli.main(["run", "fig2", "--quick", "--no-cache"]) == cli.EXIT_OK
+    table = capsys.readouterr().out.split("== fig2")[1]
+    assert "deadline_fraction" in table and "resnet18" in table
 
 
 def test_paper_highlights_present_for_every_main_figure():

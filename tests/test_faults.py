@@ -19,14 +19,13 @@ import pytest
 from repro.backends import get_backend
 from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig, SingleConfig
 from repro.baselines.batching_server import BatchingServer
-from repro.baselines.single import SingleTenantExecutor
 from repro.dnn.zoo import build_model
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import run_cached_scenarios
 from repro.experiments.parallel import ScenarioRequest, _run_request, run_scenarios_parallel
 from repro.experiments.scenarios import NAMED_FAULTS, fault_names, named_fault
 from repro.rt.metrics import FaultImpact
-from repro.rt.taskset import table2_taskset
+from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
 from repro.sim.faults import (
     DEFAULT_POLICY,
@@ -39,7 +38,6 @@ from repro.sim.faults import (
     ResiliencePolicy,
     SlowdownFault,
 )
-from repro.sim.rng import RngFactory
 from repro.sim.workload import PERIODIC_WORKLOAD, POISSON_WORKLOAD, SATURATED_WORKLOAD
 
 HORIZON = 600.0
@@ -230,19 +228,28 @@ def test_fault_free_metrics_serialize_without_fault_keys():
 
 
 def test_throttle_and_crashes_slow_the_single_executor_down():
-    model = build_model("resnet18")
-    clean = SingleTenantExecutor(model).run(HORIZON)
-    throttled = SingleTenantExecutor(model).run(HORIZON, faults=FaultSpec.throttle())
-    crashy = SingleTenantExecutor(model).run(
-        HORIZON,
-        faults=FaultSpec.crashes(mtbf_ms=200.0, recovery_ms=20.0),
-        rng=RngFactory(7),
-    )
-    assert throttled.jps < clean.jps
-    assert crashy.jps < clean.jps
-    impact = throttled.metrics.fault_impact
+    taskset = make_taskset([build_model("resnet18")], num_high=0, num_low=1, task_jps=1.0)
+
+    def single(faults, seed=1):
+        request = ScenarioRequest(
+            taskset,
+            SingleConfig(),
+            HORIZON,
+            seed=seed,
+            scheduler="single",
+            workload=SATURATED_WORKLOAD,
+            faults=faults,
+        )
+        return get_backend("single").execute(request).metrics
+
+    clean = single(NO_FAULTS)
+    throttled = single(FaultSpec.throttle())
+    crashy = single(FaultSpec.crashes(mtbf_ms=200.0, recovery_ms=20.0), seed=7)
+    assert throttled.total_jps < clean.total_jps
+    assert crashy.total_jps < clean.total_jps
+    impact = throttled.fault_impact
     assert impact is not None and impact.episodes > 0 and impact.downtime_ms > 0
-    assert clean.metrics.fault_impact is None
+    assert clean.fault_impact is None
 
 
 def test_client_timeouts_purge_stale_batching_queues():
@@ -273,15 +280,13 @@ def test_fault_impact_from_summary_handles_absent_telemetry():
 
 
 def test_faults_grid_expands_runs_and_filters(tmp_path):
-    from repro.experiments.faults_grid import run as run_faults_grid
+    from repro.experiments.engine import run_experiment
 
-    rows = run_faults_grid(
-        quick=True,
-        processes=1,
-        cache=str(tmp_path / "cache"),
-        scheduler="daris",
-        fault="lossy",
-    )
+    def run_faults_grid(cache=None, scheduler=None, fault=None):
+        params = {"scheduler": scheduler, "fault": fault}
+        return run_experiment("faults", quick=True, cache=cache, params=params).rows
+
+    rows = run_faults_grid(cache=str(tmp_path / "cache"), scheduler="daris", fault="lossy")
     assert len(rows) == 1
     row = rows[0]
     assert row["backend"] == "daris" and row["fault"] == "lossy"
@@ -291,9 +296,9 @@ def test_faults_grid_expands_runs_and_filters(tmp_path):
     assert row["dropped"] > 0  # the lossy profile actually drops requests
 
     with pytest.raises(KeyError):
-        run_faults_grid(quick=True, processes=1, fault="meteor-strike")
+        run_faults_grid(fault="meteor-strike")
     with pytest.raises(KeyError):
-        run_faults_grid(quick=True, processes=1, scheduler="nosuch")
+        run_faults_grid(scheduler="nosuch")
 
 
 # ------------------------------------------------------- quarantine satellite

@@ -42,6 +42,7 @@ from repro.backends.configs import ClockworkConfig
 from repro.cluster import ClusterConfig, ClusterServer
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
+from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenarios import NAMED_WORKLOADS, named_fault
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
@@ -87,9 +88,9 @@ _TRACED_DARIS = {
 }
 
 
-def _traced_daris(name: str, seed: int) -> str:
+def _traced_request(name: str, seed: int) -> ScenarioRequest:
     config, workload, faults = _TRACED_DARIS[name]
-    request = ScenarioRequest(
+    return ScenarioRequest(
         table2_taskset("resnet18"),
         config,
         HORIZON_MS,
@@ -98,7 +99,10 @@ def _traced_daris(name: str, seed: int) -> str:
         workload=workload if workload is not None else NAMED_WORKLOADS["periodic"],
         faults=faults,
     )
-    result = _execute(request)
+
+
+def _traced_daris(name: str, seed: int) -> str:
+    result = _execute(_traced_request(name, seed))
     assert result.trace.stage_records, "a traced run must record stages"
     return digest(result.metrics, result.trace)
 
@@ -418,6 +422,19 @@ def test_golden_digest(scenario):
         f"results moved (digests recorded with numpy {RECORDED_NUMPY}, "
         f"running numpy {np.__version__})"
     )
+
+
+@pytest.mark.parametrize(
+    "scenario", [name for name in GOLDEN_DIGESTS if name.startswith("daris-traced/")]
+)
+def test_traced_golden_results_round_trip_through_json(scenario):
+    """A traced result is cacheable: its JSON form restores every record."""
+    _, name, seed = scenario.split("/")
+    result = _execute(_traced_request(name, int(seed[len("seed"):])))
+    restored = ScenarioResult.from_dict(json.loads(json.dumps(result.to_dict())))
+    assert repr(restored.trace.stage_records) == repr(result.trace.stage_records)
+    assert repr(restored.trace.job_records) == repr(result.trace.job_records)
+    assert digest(restored.metrics, restored.trace) == GOLDEN_DIGESTS[scenario]
 
 
 def _compensated_sum(values, start=0):

@@ -5,7 +5,8 @@ acceptance path (two shards + merge byte-identical to an unsharded run), the
 resume guarantee (a killed shard re-simulates only what had not committed,
 asserted via cache hit/miss counters), store robustness (truncated tails,
 grid mismatch detection), merge semantics (incomplete sweeps, traced
-scenarios) and the CLI surface.
+scenarios), the pinned fingerprint of a trace-free grid and the CLI
+surface.
 """
 
 from __future__ import annotations
@@ -345,21 +346,36 @@ def test_merge_of_incomplete_sweep_raises_then_simulates_on_request(tmp_path):
     assert again.simulated == 0 and again.from_cache == missing
 
 
-def test_traced_scenarios_are_excluded_from_shards_and_merge_simulates(tmp_path):
-    spec = _tiny_spec(with_trace=True)
-    report = run_sweep_shard(
-        [spec], shard_index=0, num_shards=1, quick=True, processes=1,
-        sweep_dir=tmp_path / "sweep", cache=ResultCache(tmp_path / "cache"),
-    )
-    assert report.shard_units == 0 and report.uncacheable == 2
-    assert report.simulated == 0
+def test_traced_scenarios_shard_commit_and_merge_without_simulating(tmp_path):
+    spec = _tiny_spec(with_trace=True)  # its rows assert each result's trace
+    shard_units = 0
+    for shard_index in range(2):
+        report = run_sweep_shard(
+            [spec], shard_index=shard_index, num_shards=2, quick=True, processes=1,
+            sweep_dir=tmp_path / "sweep", cache=ResultCache(tmp_path / "cache"),
+        )
+        assert report.complete and report.simulated == report.shard_units
+        shard_units += report.shard_units
+    assert shard_units == 2
 
+    # No cache: the traced results come back from the row stores alone.
     merged = merge_sweep([spec], quick=True, processes=1,
-                         sweep_dir=tmp_path / "sweep", cache=tmp_path / "cache")
-    assert merged.traced == 2 and merged.simulated == 0  # traced don't count
-    assert merged.reports[0].uncached == 2
+                         sweep_dir=tmp_path / "sweep", cache=None)
+    assert merged.from_store == 2 and merged.simulated == 0
     assert merged.reports[0].rows == run_experiment(spec, quick=True, processes=1).rows
-    assert not (tmp_path / "cache").exists()  # traced results never reach the cache
+    assert len(ResultCache(tmp_path / "cache")) == 2
+
+
+#: A trace-free grid's fingerprint, recorded while traced requests were
+#: still kept out of the sweep grid: shard stores written then still resume.
+PINNED_SOTA_TWO_SEED_FINGERPRINT = (
+    "6829d9edb8350e782d19951bf6c598d774e18f43d1b2fda3a9308fe55fd76812"
+)
+
+
+def test_trace_free_grid_fingerprint_is_pinned():
+    grid = build_sweep_grid(["sota"], quick=True, seeds=2)
+    assert grid.fingerprint == PINNED_SOTA_TWO_SEED_FINGERPRINT
 
 
 # ------------------------------------------------------------------------ plan
