@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
+import numbers
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.dnn.model import DnnModel
@@ -179,6 +181,11 @@ class SchedulerBackend(abc.ABC):
         if request.with_trace and not self.supports_traces:
             raise BackendRequestError(
                 f"the {self.name!r} backend does not record stage traces"
+            )
+        horizon = request.horizon_ms
+        if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
+            raise BackendRequestError(
+                f"horizon_ms must be a finite number above 0, got {horizon!r}"
             )
 
     def execute(self, request: "ScenarioRequest") -> "ScenarioResult":

@@ -99,6 +99,13 @@ class ScenarioRequest:
         data: Dict[str, object] = {
             "schema": FINGERPRINT_SCHEMA,
             "taskset": self.taskset.fingerprint(),
+        }
+        data.update(self._settings_fingerprint())
+        return data
+
+    def _settings_fingerprint(self) -> Dict[str, object]:
+        """Every :meth:`fingerprint` entry after the schema and the task set."""
+        data: Dict[str, object] = {
             "config": self.config.to_dict(),
             "horizon_ms": self.horizon_ms,
             "seed": self.seed,
@@ -120,10 +127,23 @@ class ScenarioRequest:
 
         The fingerprint is serialized with sorted keys and no whitespace;
         floats use Python's shortest-repr JSON form, which is deterministic
-        and round-trips exactly.
+        and round-trips exactly.  The task set's part is its memoized
+        :attr:`~repro.rt.taskset.TaskSetSpec.fingerprint_json`, spliced
+        between the keys that sort before ``"taskset"`` and those after it
+        (both sides are never empty: ``"config"`` sorts before it and
+        ``"with_trace"`` after), so the bytes hashed are exactly those of
+        ``json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))``.
         """
-        canonical = json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))
+        settings = self._settings_fingerprint()
+        settings["schema"] = FINGERPRINT_SCHEMA
+        before = _canonical_json({k: v for k, v in settings.items() if k < "taskset"})
+        after = _canonical_json({k: v for k, v in settings.items() if k > "taskset"})
+        canonical = f'{before[:-1]},"taskset":{self.taskset.fingerprint_json},{after[1:]}'
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _canonical_json(data: Dict[str, object]) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _run_request(request: ScenarioRequest) -> ScenarioResult:

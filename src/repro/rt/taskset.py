@@ -19,6 +19,8 @@ in Figure 11.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,6 +71,23 @@ class TaskSetSpec:
             "name": self.name,
             "tasks": [task.to_dict() for task in self.tasks],
         }
+
+    @functools.cached_property
+    def fingerprint_json(self) -> str:
+        """:meth:`fingerprint` as canonical JSON: sorted keys, no whitespace.
+
+        Encoded once per instance, because a grid shares a few task sets
+        among many requests and the task set is nearly all of a cache key's
+        bytes.  The memo sits in the instance ``__dict__`` only, outside the
+        dataclass fields, so ``==``, ``hash`` and ``repr`` never see it, and
+        :meth:`__getstate__` leaves it out of the pickled state.
+        """
+        return json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("fingerprint_json", None)
+        return state
 
     @property
     def num_high(self) -> int:

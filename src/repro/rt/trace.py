@@ -7,15 +7,16 @@ information needed for that comparison, plus per-job records used by the
 response-time analysis (Figure 8a).
 
 The records are plain values (floats, ints, strings and a
-:class:`~repro.rt.task.Priority`), so a recorder serializes losslessly to
-JSON (:meth:`TraceRecorder.to_dict`) and traced results are cached like any
-other.
+:class:`~repro.rt.task.Priority`).  The recorder keeps them by column, one
+list per field, which is also its lossless JSON form
+(:meth:`TraceRecorder.to_dict`), so traced results are cached like any
+other and a cached trace is read back without rebuilding its records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rt.task import Priority
 
@@ -50,69 +51,104 @@ class JobTraceRecord:
     context_index: int
 
 
-def _to_columns(records: Sequence[object], record_type: type) -> Dict[str, list]:
-    """One list per record field; priorities are stored as their ints."""
-    columns: Dict[str, list] = {}
-    for field in fields(record_type):
-        values = [getattr(record, field.name) for record in records]
-        if field.name == "priority":
-            values = [int(value) for value in values]
-        columns[field.name] = values
-    return columns
+#: Column names of each record type, in field (positional) order.
+_STAGE_FIELDS = tuple(field.name for field in fields(StageTraceRecord))
+_JOB_FIELDS = tuple(field.name for field in fields(JobTraceRecord))
+_PRIORITY_VALUES = frozenset(int(priority) for priority in Priority)
 
 
-def _from_columns(columns: Mapping[str, Sequence[object]], record_type: type) -> list:
-    """Inverse of :func:`_to_columns`; ragged columns raise ``ValueError``."""
-    data = []
-    for field in fields(record_type):
-        values = columns[field.name]
-        if field.name == "priority":
-            values = [Priority(value) for value in values]
-        data.append(values)
-    return [record_type(*row) for row in zip(*data, strict=True)]
+def _append(columns: Dict[str, list], record: object) -> None:
+    """Append one record's fields to their columns; priorities as their ints."""
+    for name, values in columns.items():
+        value = getattr(record, name)
+        values.append(int(value) if name == "priority" else value)
+
+
+def _records(columns: Dict[str, list], record_type: type) -> list:
+    """The records held by ``columns``, rebuilt in recording order."""
+    data = [
+        list(map(Priority, values)) if name == "priority" else values
+        for name, values in columns.items()
+    ]
+    return [record_type(*row) for row in zip(*data)]
+
+
+def _adopt(columns: Mapping[str, Sequence[object]], names: Tuple[str, ...]) -> Dict[str, list]:
+    """Checked copies of the ``names`` columns of :meth:`TraceRecorder.to_dict` output.
+
+    Raises ``KeyError`` for a missing column and ``ValueError`` for columns
+    of unequal length or a priority outside :class:`Priority`, so a damaged
+    cache entry fails here, while it is read, and never later in analysis.
+    """
+    adopted = {name: list(columns[name]) for name in names}
+    if len({len(values) for values in adopted.values()}) > 1:
+        raise ValueError("trace columns differ in length")
+    if not _PRIORITY_VALUES.issuperset(adopted["priority"]):
+        raise ValueError("trace priority outside Priority")
+    return adopted
 
 
 class TraceRecorder:
-    """Collects stage- and job-level records during a run."""
+    """Collects stage- and job-level records during a run.
+
+    Records are held by column, one list per record field (priorities as
+    their ints), which is also the serialized form: :meth:`to_dict` and
+    :meth:`from_dict` copy columns and build no records.
+    :attr:`stage_records` and :attr:`job_records` rebuild the records when
+    read, and :meth:`execution_vs_mret` reads its columns directly.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.stage_records: List[StageTraceRecord] = []
-        self.job_records: List[JobTraceRecord] = []
+        self._stages: Dict[str, list] = {name: [] for name in _STAGE_FIELDS}
+        self._jobs: Dict[str, list] = {name: [] for name in _JOB_FIELDS}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecorder):
             return NotImplemented
-        return (self.enabled, self.stage_records, self.job_records) == (
+        return (self.enabled, self._stages, self._jobs) == (
             other.enabled,
-            other.stage_records,
-            other.job_records,
+            other._stages,
+            other._jobs,
         )
+
+    @property
+    def stage_records(self) -> List[StageTraceRecord]:
+        """Every recorded stage, rebuilt from the columns on each access."""
+        return _records(self._stages, StageTraceRecord)
+
+    @property
+    def job_records(self) -> List[JobTraceRecord]:
+        """Every recorded job, rebuilt from the columns on each access."""
+        return _records(self._jobs, JobTraceRecord)
 
     def to_dict(self) -> Dict[str, object]:
         """Lossless JSON-safe form, stored by column: one list per field."""
         return {
-            "stages": _to_columns(self.stage_records, StageTraceRecord),
-            "jobs": _to_columns(self.job_records, JobTraceRecord),
+            "stages": {name: list(values) for name, values in self._stages.items()},
+            "jobs": {name: list(values) for name, values in self._jobs.items()},
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Mapping[str, Sequence[object]]]) -> "TraceRecorder":
-        """Rebuild an enabled recorder from :meth:`to_dict` output."""
+        """Rebuild an enabled recorder from :meth:`to_dict` output.
+
+        Every column is checked before it is taken (see :func:`_adopt`).
+        """
         recorder = cls(enabled=True)
-        recorder.stage_records = _from_columns(data["stages"], StageTraceRecord)
-        recorder.job_records = _from_columns(data["jobs"], JobTraceRecord)
+        recorder._stages = _adopt(data["stages"], _STAGE_FIELDS)
+        recorder._jobs = _adopt(data["jobs"], _JOB_FIELDS)
         return recorder
 
     def record_stage(self, record: StageTraceRecord) -> None:
         """Append a stage record (no-op when disabled)."""
         if self.enabled:
-            self.stage_records.append(record)
+            _append(self._stages, record)
 
     def record_job(self, record: JobTraceRecord) -> None:
         """Append a job record (no-op when disabled)."""
         if self.enabled:
-            self.job_records.append(record)
+            _append(self._jobs, record)
 
     def stage_series(
         self, task_name: Optional[str] = None, stage_index: Optional[int] = None
@@ -128,7 +164,7 @@ class TraceRecorder:
     def job_series(self, priority: Optional[Priority] = None) -> List[JobTraceRecord]:
         """Job records filtered by priority."""
         if priority is None:
-            return list(self.job_records)
+            return self.job_records
         return [r for r in self.job_records if r.priority is priority]
 
     def execution_vs_mret(self, task_name: str) -> List[tuple]:
@@ -137,19 +173,24 @@ class TraceRecorder:
         Stage records of the same job are aggregated so the series is at task
         granularity, matching the paper's plot.
         """
-        per_job = {}
-        for record in self.stage_records:
-            if record.task_name != task_name:
+        stages = self._stages
+        per_job: Dict[int, list] = {}
+        for name, job_index, time_ms, execution_ms, mret_ms in zip(
+            stages["task_name"],
+            stages["job_index"],
+            stages["time_ms"],
+            stages["execution_time_ms"],
+            stages["mret_prediction_ms"],
+        ):
+            if name != task_name:
                 continue
-            key = record.job_index
-            entry = per_job.setdefault(key, {"time": 0.0, "exec": 0.0, "mret": 0.0})
-            entry["time"] = max(entry["time"], record.time_ms)
-            entry["exec"] += record.execution_time_ms
-            entry["mret"] += record.mret_prediction_ms
-        series = [
-            (entry["time"], entry["exec"], entry["mret"])
-            for entry in per_job.values()
-        ]
+            entry = per_job.get(job_index)
+            if entry is None:
+                entry = per_job[job_index] = [0.0, 0.0, 0.0]
+            entry[0] = max(entry[0], time_ms)
+            entry[1] += execution_ms
+            entry[2] += mret_ms
+        series = [tuple(entry) for entry in per_job.values()]
         series.sort(key=lambda item: item[0])
         return series
 

@@ -9,6 +9,7 @@ to direct baseline calls).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -237,6 +238,33 @@ def test_daris_family_rejects_horizons_within_the_warmup(scheduler):
             get_backend(scheduler).validate_request(request)
     request = ScenarioRequest(_taskset(), DARIS_CONFIG, warmup + 1.0, scheduler=scheduler)
     get_backend(scheduler).validate_request(request)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("scheduler", backend_names())
+def test_every_backend_rejects_a_horizon_that_is_not_finite_and_positive(
+    scheduler, horizon, monkeypatch
+):
+    """Zero, negative, NaN and infinite horizons fail validation, never a run."""
+    backend = get_backend(scheduler)
+    workload = {
+        "periodic": PERIODIC_WORKLOAD,
+        "saturated": SATURATED_WORKLOAD,
+    }[backend.supported_arrivals[0]]
+    request = ScenarioRequest(
+        _taskset(), _grid_config_for(scheduler), HORIZON, scheduler=scheduler, workload=workload
+    )
+    backend.validate_request(request)  # the same request with a valid horizon passes
+
+    def must_not_run(self, request):
+        raise AssertionError("an invalid horizon reached run()")
+
+    monkeypatch.setattr(type(backend), "run", must_not_run)
+    bad = dataclasses.replace(request, horizon_ms=horizon)
+    with pytest.raises(BackendRequestError, match="horizon_ms"):
+        backend.validate_request(bad)
+    with pytest.raises(BackendRequestError, match="horizon_ms"):
+        backend.execute(bad)
 
 
 def test_only_daris_records_traces():

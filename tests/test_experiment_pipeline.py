@@ -10,7 +10,9 @@ invocation served entirely from cache, zero simulator runs).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.experiments import cli
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import (
     aggregate_replicated_rows,
+    expand_experiment,
     run_cached_scenarios,
     run_experiment,
 )
@@ -113,6 +116,44 @@ def test_cache_key_changes_when_any_request_field_changes():
     ]
     keys = [request.cache_key() for request in variants]
     assert len(set(keys)) == len(variants)
+
+
+def _reference_key(request: ScenarioRequest) -> str:
+    canonical = json.dumps(request.fingerprint(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_cache_key_is_the_hash_of_the_canonical_fingerprint_on_every_grid():
+    requests = [
+        request
+        for quick in (True, False)
+        for spec in all_experiments()
+        for request in expand_experiment(spec, quick=quick).requests
+    ]
+    # The grids reach every optional fingerprint key.
+    assert any(request.scheduler != "daris" for request in requests)
+    assert any(not request.workload.is_default for request in requests)
+    assert any(not request.faults.is_default for request in requests)
+    for request in requests:
+        assert request.cache_key() == _reference_key(request)
+
+
+def test_task_set_key_memo_is_invisible_and_per_value():
+    taskset = _tiny_taskset()
+    before = (hash(taskset), repr(taskset), pickle.dumps(taskset))
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=3)
+    key = request.cache_key()
+    assert key == _reference_key(request)
+    assert (hash(taskset), repr(taskset), pickle.dumps(taskset)) == before
+    assert taskset == _tiny_taskset()
+    renamed = dataclasses.replace(taskset, name="renamed")
+    retimed = dataclasses.replace(
+        taskset,
+        tasks=(dataclasses.replace(taskset.tasks[0], phase_ms=1.5),) + taskset.tasks[1:],
+    )
+    for variant in (renamed, retimed):
+        other = dataclasses.replace(request, taskset=variant)
+        assert other.cache_key() == _reference_key(other) != key
 
 
 # ------------------------------------------------------------------ round-trips

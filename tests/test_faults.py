@@ -343,6 +343,41 @@ def test_unrebuildable_payloads_are_quarantined_too(tmp_path):
     assert not path.exists()
 
 
+@pytest.fixture(scope="module")
+def traced_entry():
+    """A traced request and its result, simulated once for the module."""
+    request = ScenarioRequest(_taskset(), DARIS_CONFIG, HORIZON, seed=5, with_trace=True)
+    return request, _run_request(request)
+
+
+def _ragged_column(trace):
+    trace["stages"]["time_ms"].pop()
+
+
+def _missing_column(trace):
+    del trace["jobs"]["context_index"]
+
+
+def _foreign_priority(trace):
+    trace["stages"]["priority"][0] = 2
+
+
+@pytest.mark.parametrize("damage", [_ragged_column, _missing_column, _foreign_priority])
+def test_damaged_trace_columns_are_quarantined(tmp_path, traced_entry, damage):
+    """A cached trace is checked column by column when the entry is read."""
+    request, result = traced_entry
+    cache = ResultCache(tmp_path / "cache")
+    assert cache.put(request, result)
+    path = cache.path_for(cache.key_for(request))
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    damage(entry["result"]["trace"])
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    assert cache.get(request) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert path.with_suffix(path.suffix + ".corrupt").is_file()
+    assert not path.exists()
+
+
 def test_missing_entries_are_plain_misses_without_quarantine(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     request = ScenarioRequest(_taskset(), DARIS_CONFIG, HORIZON, seed=5)
