@@ -14,9 +14,11 @@ Layout::
         <key[:2]>/<key>.json     one entry per scenario (atomic writes)
 
 Sharding by the first two hex digits keeps directories small even with
-hundreds of thousands of entries.  Entries are self-describing (they embed
-the full request fingerprint), so ``prune`` / external tooling can inspect
-them without the originating code.
+hundreds of thousands of entries.  An entry holds its schema, its key and
+the result payload, and nothing else: the key already commits to every
+request field, so no reader needs the request's fingerprint back.  Older
+entries also carry a ``"fingerprint"`` object, which no reader looks at, so
+both layouts mix in one cache under the same schema.
 
 Traced requests (Figure 9) are cached like any other: the result's stage
 and job records are stored by column next to its metrics, and an untraced
@@ -30,12 +32,17 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
 
 _ENTRY_SCHEMA = 1
+
+#: What rebuilding a result from a damaged but parseable payload can raise:
+#: a missing key, a wrong type, a bad value, or a list or scalar where an
+#: object belongs (``"config": []`` has no ``.get``).
+PAYLOAD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 _LOG = logging.getLogger(__name__)
 
@@ -102,11 +109,10 @@ class ResultCache:
             yield path.stem
 
     def read_entry(self, key: str) -> Optional[Dict[str, object]]:
-        """The raw stored entry for ``key`` (fingerprint + result payload).
+        """The raw stored entry for ``key`` (schema, key and result payload).
 
         Returns the entry dictionary without rebuilding a
-        :class:`ScenarioResult`, which lets sweep drivers re-commit cached
-        payloads to their row stores byte-for-byte.  Corrupt, unreadable or
+        :class:`ScenarioResult`.  Corrupt, unreadable, wrongly shaped or
         schema-stale entries count as misses, exactly like :meth:`get` —
         and are *quarantined* (renamed to ``<entry>.json.corrupt``) so the
         damaged bytes stop shadowing the key: the scenario re-simulates and
@@ -117,6 +123,8 @@ class ResultCache:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
+            if not isinstance(entry, dict):
+                raise TypeError(f"cache entry is a {type(entry).__name__}, not an object")
             if entry.get("entry_schema") != _ENTRY_SCHEMA:
                 raise ValueError("stale cache entry schema")
             if "result" not in entry:
@@ -155,6 +163,28 @@ class ResultCache:
             error,
         )
 
+    def load(self, key: str) -> Optional[Tuple[Dict[str, object], ScenarioResult]]:
+        """The stored result payload for ``key`` and the result rebuilt from it.
+
+        The payload lets sweep drivers re-commit a cached result to their
+        row stores byte-for-byte, and the rebuild proves it sound first.  A
+        payload that cannot be rebuilt is a miss like any other damaged
+        entry, and is quarantined too.
+        """
+        entry = self.read_entry(key)
+        if entry is None:
+            return None
+        payload = entry["result"]
+        try:
+            return payload, ScenarioResult.from_dict(payload)  # type: ignore[arg-type]
+        except PAYLOAD_ERRORS as error:
+            # Undo read_entry's optimistic hit, and quarantine the entry so
+            # the re-simulated result overwrites a clean slot.
+            self.hits -= 1
+            self.misses += 1
+            self._quarantine(self.path_for(key), error)
+            return None
+
     def get(self, request: ScenarioRequest) -> Optional[ScenarioResult]:
         """Return the cached result for ``request``, or ``None`` on a miss.
 
@@ -163,20 +193,8 @@ class ResultCache:
         poison an experiment — it costs a re-simulation, after which the
         clean result is rewritten under the same key.
         """
-        key = self.key_for(request)
-        entry = self.read_entry(key)
-        if entry is None:
-            return None
-        try:
-            return ScenarioResult.from_dict(entry["result"])  # type: ignore[arg-type]
-        except (ValueError, KeyError, TypeError) as error:
-            # Undo read_entry's optimistic hit: a payload that cannot be
-            # rebuilt is a miss like any other damaged entry — quarantine it
-            # too, so the re-simulated result overwrites a clean slot.
-            self.hits -= 1
-            self.misses += 1
-            self._quarantine(self.path_for(key), error)
-            return None
+        loaded = self.load(self.key_for(request))
+        return loaded[1] if loaded is not None else None
 
     def put(self, request: ScenarioRequest, result: ScenarioResult) -> bool:
         """Store a completed result; returns whether it was written.
@@ -186,12 +204,7 @@ class ResultCache:
         """
         key = self.key_for(request)
         path = self.path_for(key)
-        entry = {
-            "entry_schema": _ENTRY_SCHEMA,
-            "key": key,
-            "fingerprint": request.fingerprint(),
-            "result": result.to_dict(),
-        }
+        entry = {"entry_schema": _ENTRY_SCHEMA, "key": key, "result": result.to_dict()}
         # Any filesystem failure (unwritable/read-only dir, disk full, ...)
         # degrades to "not cached" — a broken cache must never abort a sweep
         # whose scenarios already simulated successfully.
@@ -221,12 +234,24 @@ class ResultCache:
     def _entry_paths(self) -> Iterator[Path]:
         yield from self.cache_dir.glob("??/*.json")
 
+    def _entry_stats(self) -> Iterator[Tuple[Path, os.stat_result]]:
+        """Each entry with its ``stat``, skipping entries that have gone.
+
+        Another process sharing the directory may quarantine or prune an
+        entry between the glob and the ``stat``.
+        """
+        for path in self._entry_paths():
+            try:
+                yield path, path.stat()
+            except FileNotFoundError:
+                continue
+
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
 
     def size_bytes(self) -> int:
         """Total size of all entries on disk."""
-        return sum(path.stat().st_size for path in self._entry_paths())
+        return sum(stat.st_size for _, stat in self._entry_stats())
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
@@ -261,7 +286,7 @@ class ResultCache:
                 raise ValueError(f"{name} must be >= 0, got {bound}")
 
         entries: List[tuple] = sorted(
-            (path.stat().st_mtime, path) for path in self._entry_paths()
+            (stat.st_mtime, path) for path, stat in self._entry_stats()
         )
         doomed: List[Path] = []
         if max_age_days is not None:

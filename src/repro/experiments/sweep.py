@@ -80,7 +80,7 @@ from typing import (
     Union,
 )
 
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import PAYLOAD_ERRORS, ResultCache
 from repro.experiments.engine import (
     ExpandedExperiment,
     ExperimentReport,
@@ -502,14 +502,15 @@ def _check_store_grid(store: ShardStore, grid: SweepGrid) -> None:
 
 
 def _result_from_payload(payload: object) -> Optional[ScenarioResult]:
-    """Rebuild a result from a stored payload; ``None`` if it is damaged.
+    """Rebuild a result from a row-store payload; ``None`` if it is damaged.
 
-    Mirrors the cache's damaged-entry contract: a payload that cannot be
-    rebuilt costs a re-simulation (or a fallback source), never an abort.
+    Mirrors the cache's damaged-entry contract (:meth:`ResultCache.load`):
+    a payload that cannot be rebuilt costs a fallback source or a
+    re-simulation, never an abort.
     """
     try:
         return ScenarioResult.from_dict(payload)  # type: ignore[arg-type]
-    except (ValueError, KeyError, TypeError):
+    except PAYLOAD_ERRORS:
         return None
 
 
@@ -617,10 +618,9 @@ def run_sweep_shard(
             # after it survives a ScenarioResult rebuild — a damaged cache
             # entry degrades to a re-simulation instead of poisoning the
             # row store.
-            entry = result_cache.read_entry(unit.key) if result_cache else None
-            payload = entry["result"] if entry is not None else None
-            if payload is not None and _result_from_payload(payload) is not None:
-                append(_record_for(unit, payload, source="cache"))  # type: ignore[arg-type]
+            loaded = result_cache.load(unit.key) if result_cache else None
+            if loaded is not None:
+                append(_record_for(unit, loaded[0], source="cache"))
                 report.from_cache += 1
             else:
                 misses.append(unit)
@@ -817,10 +817,9 @@ def merge_sweep(
             report.from_store += 1
             served[unit.experiment]["store"] += 1
             continue
-        entry = result_cache.read_entry(unit.key) if result_cache else None
-        result = _result_from_payload(entry["result"]) if entry is not None else None
-        if result is not None:
-            results[unit.experiment][unit.flat_index] = result
+        loaded = result_cache.load(unit.key) if result_cache else None
+        if loaded is not None:
+            results[unit.experiment][unit.flat_index] = loaded[1]
             report.from_cache += 1
             served[unit.experiment]["cache"] += 1
             continue

@@ -211,6 +211,50 @@ def test_cache_hit_miss_and_traced_round_trip(tmp_path, resnet18):
     assert cache.get(request).trace is None
 
 
+def test_cache_entry_holds_only_schema_key_and_result(tmp_path, resnet18):
+    """An entry stores no request fingerprint: its key already commits to it."""
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    assert cache.put(request, result)
+    path = cache.path_for(cache.key_for(request))
+    text = path.read_text(encoding="utf-8")
+    entry = json.loads(text)
+    assert list(entry) == ["entry_schema", "key", "result"]
+    assert entry["key"] == path.stem
+    assert text == json.dumps(
+        {"entry_schema": 1, "key": path.stem, "result": result.to_dict()},
+        separators=(",", ":"),
+    )
+
+
+def test_entries_embedding_the_fingerprint_still_hit(tmp_path, resnet18):
+    """Older entries also carry the request's fingerprint, which no reader needs."""
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    key = cache.key_for(request)
+    path = cache.path_for(key)
+    path.parent.mkdir(parents=True)
+    older = {
+        "entry_schema": 1,
+        "key": key,
+        "fingerprint": request.fingerprint(),
+        "result": result.to_dict(),
+    }
+    path.write_text(json.dumps(older, separators=(",", ":")), encoding="utf-8")
+
+    entry = cache.read_entry(key)
+    assert entry is not None and ScenarioResult.from_dict(entry["result"]) == result
+    payload, loaded = cache.load(key)  # what the sweep driver reads
+    assert payload == result.to_dict() and loaded == result
+    assert cache.get(request) == result
+    assert (cache.hits, cache.misses) == (3, 0)
+    assert path.is_file()
+
+
 def test_unwritable_cache_degrades_to_uncached(tmp_path, resnet18, monkeypatch):
     """A broken cache (read-only dir, disk full) must return False, not raise —
     an exception here would abort a sweep whose scenarios already simulated."""

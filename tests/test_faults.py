@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.dnn.zoo import build_model
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import run_cached_scenarios
 from repro.experiments.parallel import ScenarioRequest, _run_request, run_scenarios_parallel
+from repro.experiments.registry import ExperimentPlan, ExperimentSpec
 from repro.experiments.scenarios import NAMED_FAULTS, fault_names, named_fault
+from repro.experiments.sweep import merge_sweep, run_sweep_shard
 from repro.rt.metrics import FaultImpact
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
@@ -376,6 +379,110 @@ def test_damaged_trace_columns_are_quarantined(tmp_path, traced_entry, damage):
     assert (cache.hits, cache.misses) == (0, 1)
     assert path.with_suffix(path.suffix + ".corrupt").is_file()
     assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def untraced_entry():
+    """An untraced request and its result, simulated once for the module."""
+    request = ScenarioRequest(_taskset(), DARIS_CONFIG, HORIZON, seed=5)
+    return request, _run_request(request)
+
+
+def _result_field_as_list(name):
+    def damage(entry):
+        entry["result"][name] = []
+        return entry
+
+    return damage
+
+
+# Parseable entries of the wrong shape: what is left of an entry after a
+# foreign writer or a bad edit, rather than a torn write.
+WRONGLY_SHAPED = {
+    "null": lambda entry: None,
+    "number": lambda entry: 3,
+    "string": lambda entry: "x",
+    "array": lambda entry: [1, 2],
+    "config-array": _result_field_as_list("config"),
+    "metrics-array": _result_field_as_list("metrics"),
+}
+
+
+def _one_request_spec(request):
+    return ExperimentSpec(
+        name="one_request",
+        title="one cached request",
+        build=lambda ctx: ExperimentPlan(
+            requests=[request],
+            make_rows=lambda row_ctx: [{"jps": row_ctx.results[0].total_jps}],
+        ),
+    )
+
+
+def _read_through_get(cache, request, tmp_path):
+    assert cache.get(request) is None
+
+
+def _read_through_sweep_run(cache, request, tmp_path):
+    report = run_sweep_shard(
+        [_one_request_spec(request)], shard_index=0, num_shards=1, processes=1,
+        sweep_dir=tmp_path / "sweep", cache=cache,
+    )
+    assert (report.from_cache, report.simulated) == (0, 1)
+
+
+def _read_through_sweep_merge(cache, request, tmp_path):
+    report = merge_sweep(
+        [_one_request_spec(request)], processes=1, simulate_missing=True,
+        sweep_dir=tmp_path / "sweep", cache=cache,
+    )
+    assert (report.from_cache, report.simulated) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [_read_through_get, _read_through_sweep_run, _read_through_sweep_merge],
+    ids=["get", "sweep-run", "sweep-merge"],
+)
+@pytest.mark.parametrize("damage", list(WRONGLY_SHAPED.values()), ids=list(WRONGLY_SHAPED))
+def test_wrongly_shaped_entries_are_quarantined(tmp_path, untraced_entry, damage, read):
+    """Valid JSON of the wrong shape is one miss and a re-simulation, never an abort."""
+    request, result = untraced_entry
+    cache = ResultCache(tmp_path / "cache")
+    assert cache.put(request, result)
+    path = cache.path_for(cache.key_for(request))
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(damage(entry)), encoding="utf-8")
+    read(cache, request, tmp_path)
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert path.with_suffix(path.suffix + ".corrupt").is_file()
+
+
+@pytest.mark.parametrize("scan", ["size_bytes", "prune"])
+def test_entries_gone_between_glob_and_stat_are_skipped(
+    tmp_path, untraced_entry, monkeypatch, scan
+):
+    """Another process sharing the directory quarantines an entry mid-scan."""
+    _, result = untraced_entry
+    cache = ResultCache(tmp_path / "cache")
+    for seed in (1, 2, 3):
+        assert cache.put(ScenarioRequest(_taskset(), DARIS_CONFIG, HORIZON, seed=seed), result)
+    entry_bytes = cache.size_bytes() // 3
+    globbed = cache._entry_paths
+
+    def racing_glob():
+        for index, path in enumerate(globbed()):
+            if index == 0:
+                os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
+            yield path
+
+    monkeypatch.setattr(cache, "_entry_paths", racing_glob)
+    if scan == "size_bytes":
+        assert cache.size_bytes() == 2 * entry_bytes
+    else:
+        assert cache.prune(max_entries=0) == 2
+        monkeypatch.undo()
+        assert len(cache) == 0
 
 
 def test_missing_entries_are_plain_misses_without_quarantine(tmp_path):
