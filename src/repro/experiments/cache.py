@@ -51,9 +51,10 @@ class ResultCache:
     """Content-addressed scenario result store under one directory.
 
     Attributes:
-        hits: number of :meth:`get` calls served from disk.
-        misses: number of :meth:`get` calls that found nothing (or an
-            unreadable / stale entry, which is treated as a miss).
+        hits: number of reads (:meth:`get`, :meth:`load`, :meth:`read_entry`)
+            served from disk.
+        misses: number of reads that found nothing (or a damaged or stale
+            entry, which is treated as a miss).
     """
 
     def __init__(self, cache_dir: Union[str, Path]) -> None:
