@@ -16,10 +16,12 @@ size, which the ``batching_server`` backend runs for saturated requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.baselines.gslice import BatchRun
 from repro.baselines.results import single_class_metrics
 from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
@@ -176,38 +178,29 @@ class BatchingServer:
                         for spec in self.kernels
                     ]
                     partial_kernels[len(batch)] = stages
-            state = {"stage": 0}
-
-            def on_stage_done(_kernel) -> None:
-                state["stage"] += 1
-                if state["stage"] < len(stages):
-                    submit_stage()
-                    return
-                busy["running"] = False
-                for release in batch:
-                    completed["count"] += 1
-                    response_times.append(simulator.now - release)
-                    late = simulator.now > release + deadline_ms
-                    if late:
-                        completed["missed"] += 1
-                    injector.note_completion(simulator.now, on_time=not late)
-                maybe_launch(force=False)
-
-            def submit_stage() -> None:
-                platform.launch(0, 0, stages[state["stage"]], on_complete=on_stage_done)
-
+            run = BatchRun(platform, 0, stages, partial(finish_batch, batch))
             outcome = injector.launch_attempt()
             fault_counts["retries"] += outcome.retries
             if not outcome.succeeded or outcome.delay_ms > 0.0:
-
-                def on_launch_failed(batch=batch) -> None:
-                    fault_counts["failed"] += len(batch)
-                    busy["running"] = False
-                    maybe_launch(force=False)
-
-                deferred_launch(simulator, outcome, submit_stage, on_launch_failed)
+                deferred_launch(simulator, outcome, run.submit, partial(lose_batch, batch))
                 return
-            submit_stage()
+            run.submit()
+
+        def finish_batch(batch: List[float]) -> None:
+            busy["running"] = False
+            for release in batch:
+                completed["count"] += 1
+                response_times.append(simulator.now - release)
+                late = simulator.now > release + deadline_ms
+                if late:
+                    completed["missed"] += 1
+                injector.note_completion(simulator.now, on_time=not late)
+            maybe_launch(force=False)
+
+        def lose_batch(batch: List[float]) -> None:
+            fault_counts["failed"] += len(batch)
+            busy["running"] = False
+            maybe_launch(force=False)
 
         def on_arrival(simulator_now: float) -> None:
             if injector.drop_request():

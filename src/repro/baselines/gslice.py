@@ -15,12 +15,14 @@ lower baseline and at batch size ``b`` the pure-batching upper baseline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.results import single_class_metrics
 from repro.dnn.batching import batched_kernel_specs
 from repro.dnn.model import DnnModel
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
+from repro.gpu.kernel import KernelSpec
 from repro.gpu.platform import GpuPlatform, PlatformConfig
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
 from repro.rt.metrics import FaultImpact, ScenarioMetrics
@@ -33,6 +35,44 @@ from repro.sim.faults import (
 )
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
+
+
+class BatchRun:
+    """One batch's progress through its kernels, one kernel at a time.
+
+    The bound :meth:`on_kernel_done` is the kernel callback, so a batch in
+    flight is held only by its current kernel and holds nothing that points
+    back at it: reference counting frees it once its last kernel is done.
+    """
+
+    __slots__ = ("platform", "context", "kernels", "next_kernel", "on_done")
+
+    def __init__(
+        self,
+        platform: GpuPlatform,
+        context: int,
+        kernels: Sequence[KernelSpec],
+        on_done: Callable[[], None],
+    ):
+        self.platform = platform
+        self.context = context
+        self.kernels = kernels
+        self.next_kernel = 0
+        self.on_done = on_done
+
+    def submit(self) -> None:
+        """Launch the next kernel on the context's only stream."""
+        self.platform.launch(
+            self.context, 0, self.kernels[self.next_kernel], on_complete=self.on_kernel_done
+        )
+
+    def on_kernel_done(self, _kernel) -> None:
+        """Launch the next kernel, or finish the batch after its last one."""
+        self.next_kernel += 1
+        if self.next_kernel < len(self.kernels):
+            self.submit()
+        else:
+            self.on_done()
 
 
 @dataclass(frozen=True)
@@ -123,38 +163,31 @@ class GSliceServer:
         fault_counts = {"failed": 0, "retries": 0}
 
         def launch_batch(partition: int) -> None:
-            model = self.models[partition]
-            batch = self.batch_sizes[partition]
-            stages = kernels[partition]
-            start_time = simulator.now
-            state = {"stage": 0}
-
-            def on_stage_done(_kernel) -> None:
-                state["stage"] += 1
-                if state["stage"] < len(stages):
-                    submit_stage()
-                    return
-                completed_jobs[model.name] += batch
-                batch_latencies[model.name].append(simulator.now - start_time)
-                injector.note_completion(simulator.now, on_time=True)
-                if simulator.now < horizon_ms:
-                    launch_batch(partition)
-
-            def submit_stage() -> None:
-                platform.launch(partition, 0, stages[state["stage"]], on_complete=on_stage_done)
-
+            run = BatchRun(
+                platform,
+                partition,
+                kernels[partition],
+                partial(finish_batch, partition, simulator.now),
+            )
             outcome = injector.launch_attempt()
             fault_counts["retries"] += outcome.retries
             if not outcome.succeeded or outcome.delay_ms > 0.0:
-
-                def on_launch_failed(partition=partition, batch=batch) -> None:
-                    fault_counts["failed"] += batch
-                    if simulator.now < horizon_ms:
-                        launch_batch(partition)
-
-                deferred_launch(simulator, outcome, submit_stage, on_launch_failed)
+                deferred_launch(simulator, outcome, run.submit, partial(lose_batch, partition))
                 return
-            submit_stage()
+            run.submit()
+
+        def finish_batch(partition: int, start_time: float) -> None:
+            name = self.models[partition].name
+            completed_jobs[name] += self.batch_sizes[partition]
+            batch_latencies[name].append(simulator.now - start_time)
+            injector.note_completion(simulator.now, on_time=True)
+            if simulator.now < horizon_ms:
+                launch_batch(partition)
+
+        def lose_batch(partition: int) -> None:
+            fault_counts["failed"] += self.batch_sizes[partition]
+            if simulator.now < horizon_ms:
+                launch_batch(partition)
 
         for partition in range(num_partitions):
             launch_batch(partition)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.dnn.model import DnnModel
 from repro.dnn.stage import StageSpec
@@ -180,6 +180,12 @@ class Job:
     A ``__slots__`` class: one instance per release, with the priority and
     stage count denormalized from the task because the admission test and the
     stage-queue keys read them on every probe.
+
+    A job owns its stage instances until it ends: :meth:`end` moves it to a
+    terminal state and gives up the list.  Each stage points back at its job,
+    so the list is the only reference cycle a job takes part in; once it is
+    gone, reference counting frees the job and its stages as soon as the
+    scheduler lets go of them.
     """
 
     __slots__ = (
@@ -207,7 +213,7 @@ class Job:
         self.context_index: int = task.context_index
         self.completion_time: Optional[float] = None
         self.priority: Priority = task.priority
-        self.stages: List[StageInstance] = [
+        self.stages: Sequence[StageInstance] = [
             StageInstance(job=self, stage_index=i, spec=stage)
             for i, stage in enumerate(task.stages)
         ]
@@ -222,7 +228,7 @@ class Job:
     @property
     def is_finished(self) -> bool:
         """True once every stage completed."""
-        return self.current_stage_index >= len(self.stages)
+        return self.current_stage_index >= self.num_stages
 
     @property
     def response_time(self) -> Optional[float]:
@@ -242,12 +248,17 @@ class Job:
         """Mark the current stage as done and move to the next one."""
         self.current_stage_index += 1
 
+    def end(self, state: JobState) -> None:
+        """Move the job to terminal ``state`` and give up its stage instances."""
+        self.state = state
+        self.stages = ()
+
     def remaining_mret(self) -> float:
         """Sum of MRET of the stages that have not completed yet."""
         # Inlined repro.numeric.left_sum: this runs on every dispatch.
         stage_value = self.task.timing.stage_value
         total = 0
-        for i in range(self.current_stage_index, len(self.stages)):
+        for i in range(self.current_stage_index, self.num_stages):
             total += stage_value(i)
         return total
 

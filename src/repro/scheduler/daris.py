@@ -17,7 +17,6 @@ single global queue the paper describes.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import itertools
 from typing import Dict, List, Optional, Tuple
@@ -88,7 +87,6 @@ class DarisScheduler:
         self._shed_degraded = self.resilience.shed_when_degraded and (
             spec.slowdown is not None or spec.crash is not None
         )
-        self._timed_out_jobs: set = set()
 
         self.platform = GpuPlatform(
             simulator,
@@ -155,24 +153,9 @@ class DarisScheduler:
             )
 
     def run(self, horizon_ms: float) -> ScenarioMetrics:
-        """Run the scenario and return the summary metrics.
-
-        The cyclic garbage collector is paused for the duration of the event
-        loop: a scenario run allocates hundreds of thousands of short-lived
-        objects (jobs, stages, kernels, heap entries), and the resulting
-        generation-0 scans account for ~15% of the wall time.  The deferred
-        cyclic garbage (job <-> stage back references) is collected as soon as
-        the collector is re-enabled.
-        """
+        """Run the scenario and return the summary metrics."""
         self.start(horizon_ms)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self.simulator.run_until(horizon_ms)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        self.simulator.run_until(horizon_ms)
         return self.metrics.summarize(
             horizon_ms,
             gpu_utilization=self.platform.average_utilization(),
@@ -185,7 +168,7 @@ class DarisScheduler:
         job = task.release_job(release_time)
         self.metrics.record_release(job)
         if self._drop_faults and self.injector.drop_request():
-            job.state = JobState.DROPPED
+            job.end(JobState.DROPPED)
             self.metrics.record_drop(job)
             return
         assign_virtual_deadlines(job)
@@ -199,7 +182,7 @@ class DarisScheduler:
             job, self._predicted_finish, finish_inflation=finish_inflation
         )
         if not decision.admitted:
-            job.state = JobState.REJECTED
+            job.end(JobState.REJECTED)
             task.jobs_rejected += 1
             self.metrics.record_rejection(job, shed=decision.reason == "shed")
             return
@@ -267,14 +250,14 @@ class DarisScheduler:
         if not queue:
             return
         platform = self.platform
-        timed_out = self._timed_out_jobs
+        timed_out = JobState.TIMED_OUT
         pop = heapq.heappop
         while queue:
             stream_index = platform.idle_stream_index(context_index)
             if stream_index is None:
                 return
             _, stage = pop(queue)
-            if timed_out and stage.job.uid in timed_out:
+            if stage.job.state is timed_out:
                 # Lazily discard stages of client-abandoned jobs on pop.
                 continue
             stage.dispatch_time = self.simulator.now
@@ -320,7 +303,7 @@ class DarisScheduler:
     def _on_launch_failed(self, stage: StageInstance, context_index: int, stream_index: int) -> None:
         """A stage exhausted its launch-retry budget: the owning job dies."""
         job = stage.job
-        job.state = JobState.FAILED
+        job.end(JobState.FAILED)
         self.metrics.record_failure(job)
         self._active_jobs[job.context_index].pop(job.uid, None)
         self.admission.register_completion(job, job.context_index)
@@ -333,8 +316,7 @@ class DarisScheduler:
             return
         if job.current_stage_index > 0 or job.current_stage.dispatch_time is not None:
             return  # already in service; completion stands
-        job.state = JobState.TIMED_OUT
-        self._timed_out_jobs.add(job.uid)
+        job.end(JobState.TIMED_OUT)
         self.metrics.record_timeout(job)
         context = job.context_index
         self._active_jobs[context].pop(job.uid, None)
@@ -416,7 +398,7 @@ class DarisScheduler:
         job.context_index = new_context
 
     def _complete_job(self, job: Job, now: float) -> None:
-        job.state = JobState.COMPLETED
+        job.end(JobState.COMPLETED)
         job.completion_time = now
         task = job.task
         task.jobs_completed += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.dnn.zoo import build_inceptionv3, build_resnet18, build_resnet50, build_unet
@@ -35,3 +37,32 @@ def all_models(resnet18, resnet50, unet, inceptionv3):
         "unet": unet,
         "inceptionv3": inceptionv3,
     }
+
+
+@pytest.fixture
+def unreachable_after():
+    """Run a callable with the cyclic collector paused; report what it left behind.
+
+    Returns a function of ``run`` that gives ``(run's result, objects)``,
+    where ``objects`` are those a collection right after the run finds
+    unreachable.  With the collector paused, everything the run let go of
+    that reference counting could not free is still there to be found.
+    """
+
+    def measure(run):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        return result, found
+
+    return measure

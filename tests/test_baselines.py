@@ -3,17 +3,18 @@
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.configs import BatchingConfig, ClockworkConfig, SingleConfig
+from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig, SingleConfig
 from repro.baselines.batching_server import BatchingServer
 from repro.baselines.gslice import GSliceServer
 from repro.baselines.results import accepted_miss_rate
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest
+from repro.experiments.scenarios import named_fault
 from repro.gpu.engine import GpuEngine
 from repro.numeric import left_sum
 from repro.rt.taskset import make_taskset
 from repro.scheduler.config import DarisConfig
-from repro.sim.workload import SATURATED_WORKLOAD
+from repro.sim.workload import POISSON_WORKLOAD, SATURATED_WORKLOAD
 
 HORIZON = 800.0
 
@@ -175,3 +176,52 @@ def test_rtgpu_has_no_priority_differentiation(resnet18):
     hp_resp = metrics.high.response_time_stats()["mean"]
     lp_resp = metrics.low.response_time_stats()["mean"]
     assert hp_resp == pytest.approx(lp_resp, rel=0.5)
+
+
+#: What one batch in flight at the horizon can hold: its ``BatchRun``, the
+#: bound kernel callback, the finishing ``partial`` and its arguments, the
+#: running kernel and that kernel's pending event.
+IN_FLIGHT_BATCH_OBJECTS = 16
+
+
+@pytest.mark.parametrize(
+    "scheduler, partitions, rate_driven",
+    [
+        ("single", 1, False),
+        ("gslice", 2, False),
+        ("batching_server", 1, False),
+        ("batching_server", 1, True),
+    ],
+    ids=["single", "gslice", "batching-saturated", "batching-storm"],
+)
+def test_closed_loops_leave_no_garbage_per_batch(
+    scheduler, partitions, rate_driven, resnet18, unet, unreachable_after
+):
+    models = [resnet18, unet][:partitions]
+    if rate_driven:
+        # 1,600 requests/s overload batches of eight, so the queue outlives
+        # the storm profile's client timeout.
+        taskset = make_taskset(models, num_high=0, num_low=20, task_jps=80.0)
+        workload, faults = POISSON_WORKLOAD, named_fault("storm")
+    else:
+        taskset = make_taskset(models, num_high=0, num_low=partitions, task_jps=1.0)
+        workload, faults = SATURATED_WORKLOAD, named_fault("none")
+    config = {
+        "single": SingleConfig(),
+        "gslice": GSliceConfig(),
+        "batching_server": BatchingConfig(batch_size=8),
+    }[scheduler]
+
+    def unreachable(horizon: float):
+        request = ScenarioRequest(
+            taskset, config, horizon, scheduler=scheduler, workload=workload, faults=faults
+        )
+        result, found = unreachable_after(lambda: get_backend(scheduler).execute(request))
+        return result.metrics, len(found)
+
+    _, short = unreachable(HORIZON)
+    metrics, long = unreachable(2 * HORIZON)
+    assert metrics.total_completed > 0
+    if rate_driven:
+        assert metrics.low.dropped and metrics.low.timed_out and metrics.low.failed
+    assert long - short <= IN_FLIGHT_BATCH_OBJECTS * partitions

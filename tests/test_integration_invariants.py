@@ -9,7 +9,11 @@ a reduced workload.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rt.task import Priority
+from repro.backends import get_backend
+from repro.experiments.parallel import ScenarioRequest
+from repro.experiments.runner import run_daris_scenario
+from repro.experiments.scenarios import named_fault
+from repro.rt.task import Job, JobState, Priority, StageInstance
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.rt.trace import TraceRecorder
 from repro.scheduler.config import DarisConfig
@@ -101,6 +105,58 @@ def test_staging_improves_throughput_over_no_staging(resnet18):
         taskset, DarisConfig.mps_config(6, 6.0, staging=False), horizon=1500.0
     )
     assert staged.total_jps >= unstaged.total_jps * 0.95
+
+
+_TERMINAL = frozenset(
+    {JobState.COMPLETED, JobState.REJECTED, JobState.DROPPED, JobState.TIMED_OUT, JobState.FAILED}
+)
+
+
+@pytest.mark.parametrize("case", ["periodic", "traced", "storm", "rtgpu"])
+def test_ended_jobs_are_freed_by_reference_counting(
+    case, resnet18, monkeypatch, unreachable_after
+):
+    # Sixty HP tasks overload the GPU: LP jobs are rejected, and under the
+    # storm profile admitted HP jobs wait past the client timeout too.
+    taskset = make_taskset([resnet18], num_high=60, num_low=6, task_jps=30.0)
+    config = DarisConfig.mps_config(6, 6.0, warmup_ms=0.0)
+    # Every scheduler stays alive through the collection, so what it still
+    # holds at the horizon (queued stages, kernels in flight, pending
+    # timeouts) is reachable: only what the run let go of is found.
+    schedulers = []
+    run = DarisScheduler.run
+
+    def kept_run(self, horizon_ms):
+        schedulers.append(self)
+        return run(self, horizon_ms)
+
+    monkeypatch.setattr(DarisScheduler, "run", kept_run)
+    if case == "rtgpu":
+        request = ScenarioRequest(taskset, config, 1000.0, scheduler="rtgpu")
+        result, found = unreachable_after(lambda: get_backend("rtgpu").execute(request))
+    else:
+        # The default resilience policy retries no launch, so the storm's
+        # launch failures end jobs (the daris backend retries three times).
+        faults = named_fault("storm" if case == "storm" else "none")
+        result, found = unreachable_after(
+            lambda: run_daris_scenario(
+                taskset, config, 1000.0, with_trace=case == "traced", faults=faults
+            )
+        )
+
+    assert len(schedulers) == 1
+    buckets = (result.metrics.high, result.metrics.low)
+    causes = ["completed", "rejected"]
+    if case == "storm":
+        causes += ["dropped", "timed_out", "failed"]
+    for cause in causes:
+        assert sum(getattr(bucket, cause) for bucket in buckets) > 0, cause
+    ended_jobs = [obj for obj in found if isinstance(obj, Job) and obj.state in _TERMINAL]
+    ended_stages = [
+        obj for obj in found if isinstance(obj, StageInstance) and obj.job.state in _TERMINAL
+    ]
+    assert ended_jobs == []
+    assert ended_stages == []
 
 
 @settings(deadline=None, max_examples=8)
