@@ -47,6 +47,7 @@ from repro.experiments.engine import (
     rows_for_expanded,
     run_cached_scenarios,
     run_experiment,
+    run_experiments,
 )
 from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
 from repro.experiments.registry import (
@@ -101,6 +102,7 @@ __all__ = [
     "run_cached_scenarios",
     "run_daris_scenario",
     "run_experiment",
+    "run_experiments",
     "run_scenarios_parallel",
     "run_sweep_shard",
     "shard_for_key",

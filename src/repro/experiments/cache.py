@@ -20,6 +20,11 @@ request field, so no reader needs the request's fingerprint back.  Older
 entries also carry a ``"fingerprint"`` object, which no reader looks at, so
 both layouts mix in one cache under the same schema.
 
+:meth:`ResultCache.get` is the one read: ``run``, ``dse``, ``sweep run``
+and ``sweep merge`` all reach the cache through it (by way of
+:func:`repro.experiments.engine.lookup`), and each call counts one hit or
+one miss.  A damaged entry is a miss, quarantined aside.
+
 Traced requests (Figure 9) are cached like any other: the result's stage
 and job records are stored by column next to its metrics, and an untraced
 entry carries no ``"trace"`` key at all.
@@ -32,7 +37,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
@@ -51,10 +56,9 @@ class ResultCache:
     """Content-addressed scenario result store under one directory.
 
     Attributes:
-        hits: number of reads (:meth:`get`, :meth:`load`, :meth:`read_entry`)
-            served from disk.
-        misses: number of reads that found nothing (or a damaged or stale
-            entry, which is treated as a miss).
+        hits: number of :meth:`get` calls served from disk.
+        misses: number of :meth:`get` calls that found nothing (or a damaged
+            or stale entry, which is treated as a miss).
     """
 
     def __init__(self, cache_dir: Union[str, Path]) -> None:
@@ -92,35 +96,18 @@ class ResultCache:
         """
         return self.path_for(key).is_file()
 
-    def iter_keys(self, prefix: str = "") -> Iterator[str]:
-        """Stored keys, optionally restricted to a hex-prefix range.
+    def get(self, request: ScenarioRequest) -> Optional[ScenarioResult]:
+        """Return the cached result for ``request``, or ``None`` on a miss.
 
-        Keys are recovered from filenames alone — no entry is opened — so
-        iterating a million-entry cache is directory walks, not JSON parses.
-        ``prefix`` selects the contiguous key range ``[prefix000…, prefixfff…]``
-        that sharded sweep drivers partition the key space into.
+        This is the cache's one read.  Corrupt, unreadable, wrongly shaped
+        or schema-stale entries, and results that cannot be rebuilt, count
+        as misses like a missing entry — and are *quarantined* (renamed to
+        ``<entry>.json.corrupt``) so the damaged bytes stop shadowing the
+        key: the scenario re-simulates and the rewritten entry is clean,
+        while the quarantined file survives for post-mortem inspection.  A
+        damaged cache can therefore never poison an experiment.
         """
-        if len(prefix) >= 2:
-            pattern = f"{prefix[:2]}/{prefix}*.json"
-        elif prefix:
-            pattern = f"{prefix}?/{prefix}*.json"
-        else:
-            pattern = "??/*.json"
-        for path in self.cache_dir.glob(pattern):
-            yield path.stem
-
-    def read_entry(self, key: str) -> Optional[Dict[str, object]]:
-        """The raw stored entry for ``key`` (schema, key and result payload).
-
-        Returns the entry dictionary without rebuilding a
-        :class:`ScenarioResult`.  Corrupt, unreadable, wrongly shaped or
-        schema-stale entries count as misses, exactly like :meth:`get` —
-        and are *quarantined* (renamed to ``<entry>.json.corrupt``) so the
-        damaged bytes stop shadowing the key: the scenario re-simulates and
-        the rewritten entry is clean, while the quarantined file survives
-        for post-mortem inspection.  A missing entry is a plain miss.
-        """
-        path = self.path_for(key)
+        path = self.path_for(self.key_for(request))
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -128,27 +115,26 @@ class ResultCache:
                 raise TypeError(f"cache entry is a {type(entry).__name__}, not an object")
             if entry.get("entry_schema") != _ENTRY_SCHEMA:
                 raise ValueError("stale cache entry schema")
-            if "result" not in entry:
-                raise KeyError("result")
+            result = ScenarioResult.from_dict(entry["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError) as error:
+        except (OSError,) + PAYLOAD_ERRORS as error:
             self.misses += 1
             self._quarantine(path, error)
             return None
         self.hits += 1
-        return entry
+        return result
 
     def _quarantine(self, path: Path, error: Exception) -> None:
         """Move a damaged entry aside as ``<name>.json.corrupt`` and log it.
 
         The ``.corrupt`` suffix removes the file from every ``*.json`` glob
-        (``iter_keys`` / ``prune`` / ``__len__``), so a torn entry — e.g.
-        from a machine that lost power mid-write on a filesystem without
-        atomic rename durability — costs exactly one re-simulation and
-        nothing else.  Failure to rename degrades to the old leave-in-place
-        behaviour (the entry still reads as a miss every time).
+        (``prune`` / ``__len__``), so a torn entry — e.g. from a machine
+        that lost power mid-write on a filesystem without atomic rename
+        durability — costs exactly one re-simulation and nothing else.
+        Failure to rename degrades to the old leave-in-place behaviour (the
+        entry still reads as a miss every time).
         """
         quarantined = path.with_suffix(path.suffix + ".corrupt")
         try:
@@ -163,39 +149,6 @@ class ResultCache:
             type(error).__name__,
             error,
         )
-
-    def load(self, key: str) -> Optional[Tuple[Dict[str, object], ScenarioResult]]:
-        """The stored result payload for ``key`` and the result rebuilt from it.
-
-        The payload lets sweep drivers re-commit a cached result to their
-        row stores byte-for-byte, and the rebuild proves it sound first.  A
-        payload that cannot be rebuilt is a miss like any other damaged
-        entry, and is quarantined too.
-        """
-        entry = self.read_entry(key)
-        if entry is None:
-            return None
-        payload = entry["result"]
-        try:
-            return payload, ScenarioResult.from_dict(payload)  # type: ignore[arg-type]
-        except PAYLOAD_ERRORS as error:
-            # Undo read_entry's optimistic hit, and quarantine the entry so
-            # the re-simulated result overwrites a clean slot.
-            self.hits -= 1
-            self.misses += 1
-            self._quarantine(self.path_for(key), error)
-            return None
-
-    def get(self, request: ScenarioRequest) -> Optional[ScenarioResult]:
-        """Return the cached result for ``request``, or ``None`` on a miss.
-
-        Corrupt, unreadable or schema-stale entries count as misses and are
-        quarantined to ``*.json.corrupt``, so a damaged cache can never
-        poison an experiment — it costs a re-simulation, after which the
-        clean result is rewritten under the same key.
-        """
-        loaded = self.load(self.key_for(request))
-        return loaded[1] if loaded is not None else None
 
     def put(self, request: ScenarioRequest, result: ScenarioResult) -> bool:
         """Store a completed result; returns whether it was written.

@@ -18,9 +18,10 @@ Usage::
     python -m repro.experiments sweep merge --all --seeds 5
 
 ``run`` executes one or more registered experiments through the shared
-engine: scenario grids are fanned out over worker processes, replicated
-across seeds, served from / written back to the disk cache, and rendered as
-text tables (with ``mean ±ci95`` cells when ``--seeds > 1``).  Scenarios
+engine as one plan: every selected grid is expanded and replicated across
+seeds, served from / written back to the disk cache, its misses fanned out
+over one pool of worker processes, and each experiment is then rendered as
+a text table (with ``mean ±ci95`` cells when ``--seeds > 1``).  Scenarios
 dispatch through the scheduler-backend registry (``list`` prints the
 registered backends plus the named workload and fault-profile
 vocabularies); ``--scheduler``, ``--workload`` and ``--fault`` narrow the
@@ -48,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_replicated_table, format_table
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import ExperimentReport, run_experiment
+from repro.experiments.engine import ExperimentReport, run_experiment, run_experiments
 from repro.experiments.registry import (
     ExperimentSpec,
     all_experiments,
@@ -695,21 +696,17 @@ def _command_run(args: argparse.Namespace) -> int:
         jobs = 1
         profiler = cProfile.Profile()
         profiler.enable()
-    total_simulated = total_hits = total_misses = 0
-    for spec in specs:
-        report = run_experiment(
-            spec,
-            quick=args.quick,
-            seeds=args.seeds,
-            base_seed=args.base_seed,
-            processes=jobs,
-            cache=cache,
-            params=params,
-        )
+    reports = run_experiments(
+        specs,
+        quick=args.quick,
+        seeds=args.seeds,
+        base_seed=args.base_seed,
+        processes=jobs,
+        cache=cache,
+        params=params,
+    )
+    for report in reports:
         _print_report(report, args.json)
-        total_simulated += report.simulated
-        total_hits += report.cache_hits
-        total_misses += report.cache_misses
     if profiler is not None:
         import pstats
 
@@ -717,10 +714,12 @@ def _command_run(args: argparse.Namespace) -> int:
         print("== cProfile: top 25 by cumulative time ==")
         pstats.Stats(profiler, stream=sys.stdout).sort_stats("cumulative").print_stats(25)
 
+    total_misses = sum(report.cache_misses for report in reports)
     if not args.json:
         print(
-            f"total: {len(specs)} experiment(s), {total_hits} scenario(s) from cache,"
-            f" {total_simulated} simulated"
+            f"total: {len(specs)} experiment(s),"
+            f" {sum(report.cache_hits for report in reports)} scenario(s) from cache,"
+            f" {sum(report.simulated for report in reports)} simulated"
         )
     if args.expect_cached and (total_misses > 0 or args.no_cache):
         print(
@@ -773,6 +772,9 @@ def _command_dse(args: argparse.Namespace) -> int:
                     )
         except ValueError as error:
             print(f"--heatmap: {error}", file=sys.stderr)
+            return EXIT_UNKNOWN_EXPERIMENT
+        except OSError as error:
+            print(f"--csv: {error}", file=sys.stderr)
             return EXIT_UNKNOWN_EXPERIMENT
     if args.json:
         for row in annotated:

@@ -1,28 +1,33 @@
 """Shared experiment execution engine.
 
-One code path executes every registered experiment:
+One code path executes every registered experiment, one spec
+(:func:`run_experiment`) or a whole selection (:func:`run_experiments`):
 
-1. **Expand** — the spec's ``build`` produces the per-seed request grid,
-   which is crossed with the ``--seeds N`` replication axis by shifting each
-   request's seed (seed structure within a grid is preserved).
-2. **Serve or simulate** — each request is first looked up in the optional
-   :class:`~repro.experiments.cache.ResultCache`; misses are fanned out
-   through :func:`run_scenarios_parallel`, and completed scenarios are
-   written back to the cache *as they stream in* (``imap``), not after the
-   whole sweep — an interrupted sweep therefore resumes from what already
-   finished.  Traced requests are cached like any other: their records are
-   plain values stored with the metrics.
-3. **Aggregate** — the spec's ``make_rows`` folds each seed's results into
+1. **Expand** — every selected spec's ``build`` produces its per-seed
+   request grid, crossed with the ``--seeds N`` replication axis by shifting
+   each request's seed (seed structure within a grid is preserved).  The
+   whole plan is expanded before anything runs.
+2. **Look up** — :func:`lookup` reads each request through
+   :meth:`ResultCache.get`.
+3. **Simulate** — :func:`simulate` runs each distinct miss once on one
+   :func:`run_scenarios_parallel` pool and writes each result back to the
+   cache *as it streams in*, so an interrupted run resumes from what
+   already finished.  Traced requests are cached like any other.
+4. **Aggregate** — the spec's ``make_rows`` folds each seed's results into
    that seed's report rows; with several seeds the engine aggregates the
    per-seed rows column-wise into mean / stdev / 95 %-CI columns.  With one
    seed the rows pass through untouched, bit-identical to the pre-registry
    modules.
+
+``lookup`` and ``simulate`` are the only place a request is served or
+simulated: :func:`run_cached_scenarios` and :mod:`repro.experiments.sweep`
+call them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.stats import replication_summary
 from repro.analysis.tables import CI_SUFFIX, STD_SUFFIX
@@ -40,65 +45,54 @@ from repro.experiments.runner import ScenarioResult
 Row = Dict[str, object]
 
 
-@dataclass
-class _ExecutionStats:
-    """Cache / simulation accounting for one batch of requests."""
+def lookup(
+    requests: Sequence[ScenarioRequest], cache: Optional[ResultCache]
+) -> Iterator[Optional[ScenarioResult]]:
+    """Each request's cached result in request order, ``None`` for a miss.
 
-    cache_hits: int = 0
-    cache_misses: int = 0
-    simulated: int = 0
+    Every request is read through :meth:`ResultCache.get`, duplicates
+    included, so each occurrence counts one hit or one miss.  Without a
+    cache every request misses.  Results are read lazily: a caller that
+    commits each one as it comes holds one result at a time.
+    """
+    for request in requests:
+        yield cache.get(request) if cache is not None else None
 
 
-def _serve_or_simulate(
+def simulate(
     requests: Sequence[ScenarioRequest],
     processes: Optional[int],
     cache: Optional[ResultCache],
-) -> Tuple[List[ScenarioResult], _ExecutionStats]:
-    """Serve each request from the cache or simulate it; results in order.
+    on_result: Optional[Callable[[int, ScenarioResult], None]] = None,
+) -> List[ScenarioResult]:
+    """Simulate each distinct request once on one pool; results in request order.
 
-    This is the single cache-consistency-critical path shared by
-    :func:`run_experiment` and :func:`run_cached_scenarios`: misses are
-    written back as they stream off the pool (``on_result``), not after the
-    sweep completes.
-
-    Value-identical requests (e.g. a seed-insensitive backend replicated
-    across the ``--seeds`` axis) are simulated once and the one result
-    serves every occurrence.
+    Value-identical requests (a seed-insensitive backend replicated across
+    ``--seeds``, or a scenario two specs share) run once, and the one result
+    fills every position.  Each result is put in the cache the moment it
+    streams off the pool and then handed to ``on_result(index, result)``,
+    where ``index`` is the position of the request's first occurrence;
+    callbacks arrive in completion order.
     """
-    stats = _ExecutionStats()
-    results: List[Optional[ScenarioResult]] = [None] * len(requests)
-    # Each pending entry is one simulation serving one or more result slots.
-    pending: List[Tuple[ScenarioRequest, List[int]]] = []
-    pending_slot: Dict[ScenarioRequest, int] = {}
-
+    positions: Dict[ScenarioRequest, List[int]] = {}
     for index, request in enumerate(requests):
+        positions.setdefault(request, []).append(index)
+    distinct = list(positions.items())
+    results: List[Optional[ScenarioResult]] = [None] * len(requests)
+
+    def _deliver(slot: int, result: ScenarioResult) -> None:
+        request, indices = distinct[slot]
         if cache is not None:
-            cached = cache.get(request)
-            if cached is not None:
-                results[index] = cached
-                stats.cache_hits += 1
-                continue
-            stats.cache_misses += 1
-        slot = pending_slot.get(request)
-        if slot is None:
-            pending_slot[request] = len(pending)
-            pending.append((request, [index]))
-        else:
-            pending[slot][1].append(index)
-    if pending:
+            cache.put(request, result)
+        for index in indices:
+            results[index] = result
+        if on_result is not None:
+            on_result(indices[0], result)
 
-        def _store(pending_index: int, result: ScenarioResult) -> None:
-            request, indices = pending[pending_index]
-            for index in indices:
-                results[index] = result
-            if cache is not None:
-                cache.put(request, result)
-
-        run_scenarios_parallel(
-            [request for request, _ in pending], processes=processes, on_result=_store
-        )
-        stats.simulated = len(pending)
-    return results, stats  # type: ignore[return-value]
+    run_scenarios_parallel(
+        [request for request, _ in distinct], processes=processes, on_result=_deliver
+    )
+    return results  # type: ignore[return-value]
 
 
 @dataclass
@@ -113,10 +107,20 @@ class ExperimentReport:
         rows: the report rows — the spec's own rows for a single seed, or
             the CI-aggregated rows for a replicated run.
         rows_by_seed: the raw per-seed rows behind ``rows``.
-        cache_hits / cache_misses: cache outcomes of the requests.
-        simulated: scenarios that actually ran through the simulator.
+        cache_hits / cache_misses: cache outcomes of the requests, one per
+            request occurrence; both are 0 without a cache.
+        simulated: distinct scenarios this spec ran through the simulator.
         uncached: always 0, since every request is cacheable, traced
             ones included.  Kept because ``perfbench`` reads it.
+
+    When :func:`run_experiments` serves several specs as one plan, a
+    request that more than one of them needs is simulated once, and the
+    counts follow the order of the specs as if they ran one after another:
+    the first spec that misses the request counts it as simulated (and
+    every occurrence of it in that spec as a miss), and each later spec
+    counts its occurrences as cache hits — with a cache, that is where a
+    serial run would have found them.  Without a cache a later spec counts
+    such a request in neither field.
     """
 
     spec: ExperimentSpec
@@ -273,6 +277,62 @@ def rows_for_expanded(
     return aggregate_replicated_rows(rows_by_seed), rows_by_seed
 
 
+def run_experiments(
+    specs: Sequence[Union[ExperimentSpec, str]],
+    quick: bool = True,
+    seeds: int = 1,
+    base_seed: int = 1,
+    processes: Optional[int] = 1,
+    cache: Union[ResultCache, str, None] = None,
+    params: Optional[Mapping[str, object]] = None,
+) -> List[ExperimentReport]:
+    """Execute several registered experiments as one plan; one report each.
+
+    Every spec is expanded first, then the whole plan is served by one
+    :func:`lookup` and one :func:`simulate`: one worker pool for the whole
+    selection, and a scenario that several specs share runs once.  The
+    arguments are :func:`run_experiment`'s, applied to every spec; see
+    :class:`ExperimentReport` for how shared requests are counted.
+    """
+    result_cache = _resolve_cache(cache)
+    plan = [
+        expand_experiment(spec, quick=quick, seeds=seeds, base_seed=base_seed, params=params)
+        for spec in specs
+    ]
+    requests = [request for expanded in plan for request in expanded.requests]
+    cached = list(lookup(requests, result_cache))
+    missed = [request for request, result in zip(requests, cached) if result is None]
+    fresh = iter(simulate(missed, processes, result_cache))
+    served = iter(cached)
+    first_miss: Dict[ScenarioRequest, int] = {}  # each missed request -> its first spec
+    counted = result_cache is not None
+    reports: List[ExperimentReport] = []
+    for number, expanded in enumerate(plan):
+        results: List[ScenarioResult] = []
+        misses = 0
+        for request in expanded.requests:
+            result = next(served)
+            if result is None:
+                result = next(fresh)
+                # A miss that an earlier spec of the plan simulates is a hit.
+                misses += first_miss.setdefault(request, number) == number
+            results.append(result)
+        rows, rows_by_seed = rows_for_expanded(expanded, results)
+        reports.append(
+            ExperimentReport(
+                spec=expanded.spec,
+                quick=quick,
+                seeds=expanded.seed_values,
+                rows=rows,
+                rows_by_seed=rows_by_seed,
+                cache_hits=len(results) - misses if counted else 0,
+                cache_misses=misses if counted else 0,
+                simulated=sum(first == number for first in first_miss.values()),
+            )
+        )
+    return reports
+
+
 def run_experiment(
     spec: Union[ExperimentSpec, str],
     quick: bool = True,
@@ -283,6 +343,8 @@ def run_experiment(
     params: Optional[Mapping[str, object]] = None,
 ) -> ExperimentReport:
     """Execute one registered experiment end to end.
+
+    The one-spec case of :func:`run_experiments`.
 
     Args:
         spec: an :class:`ExperimentSpec` or its registry name.
@@ -297,23 +359,11 @@ def run_experiment(
         params: spec parameters (e.g. ``{"model_name": "unet"}``), overlaid
             on the spec's defaults.
     """
-    expanded = expand_experiment(
-        spec, quick=quick, seeds=seeds, base_seed=base_seed, params=params
+    (report,) = run_experiments(
+        [spec], quick=quick, seeds=seeds, base_seed=base_seed,
+        processes=processes, cache=cache, params=params,
     )
-    flat_results, stats = _serve_or_simulate(
-        expanded.requests, processes, _resolve_cache(cache)
-    )
-    rows, rows_by_seed = rows_for_expanded(expanded, flat_results)
-    return ExperimentReport(
-        spec=expanded.spec,
-        quick=quick,
-        seeds=expanded.seed_values,
-        rows=rows,
-        rows_by_seed=rows_by_seed,
-        cache_hits=stats.cache_hits,
-        cache_misses=stats.cache_misses,
-        simulated=stats.simulated,
-    )
+    return report
 
 
 def aggregate_replicated_rows(rows_by_seed: Sequence[Sequence[Row]]) -> List[Row]:
@@ -410,5 +460,9 @@ def run_cached_scenarios(
     without defining a registry spec: cached scenarios are served from disk,
     the rest are simulated in parallel and written back as they complete.
     """
-    results, _ = _serve_or_simulate(list(requests), processes, _resolve_cache(cache))
-    return results
+    result_cache = _resolve_cache(cache)
+    requests = list(requests)
+    cached = list(lookup(requests, result_cache))
+    missed = [request for request, result in zip(requests, cached) if result is None]
+    fresh = iter(simulate(missed, processes, result_cache))
+    return [result if result is not None else next(fresh) for result in cached]

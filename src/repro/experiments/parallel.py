@@ -17,14 +17,15 @@ Usage::
 unit tests deterministic-cheap and avoids pool overhead for tiny sweeps.
 ``processes=None`` uses one worker per CPU, capped by the number of requests.
 
-Results are *streamed*: the pool is consumed with ``imap`` (not ``map``), so
-the optional ``on_result`` callback fires as each scenario completes, in
-request order.  The experiment engine uses this to persist cache entries
-while later scenarios are still running — a crash or interrupt loses only
-the in-flight scenarios, not the whole sweep.  Note that this function still
-*returns* the full ordered result list (its callers need every result to
-build report rows); a consumer that wants bounded memory can do its own
-fold/discard inside ``on_result`` and ignore the return value.
+Results are *streamed*: the pool is consumed with ``imap_unordered``, so the
+optional ``on_result`` callback fires the moment any worker finishes, in
+completion order — a slow early scenario never holds back the ones behind
+it.  The experiment engine uses this to persist cache entries while later
+scenarios are still running, so a crash or interrupt loses only the
+in-flight scenarios.  There is no ordered mode: the *returned* list is in
+request order all the same (its callers need every result to build report
+rows); a consumer that wants bounded memory can do its own fold/discard
+inside ``on_result`` and ignore the return value.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _run_request(request: ScenarioRequest) -> ScenarioResult:
 
 
 def _run_indexed(indexed: Tuple[int, ScenarioRequest]) -> Tuple[int, ScenarioResult]:
-    """Worker entry point for unordered fan-out: tags results with their index."""
+    """Worker entry point for the pool: tags each result with its index."""
     index, request = indexed
     return index, _run_request(request)
 
@@ -186,7 +187,6 @@ def run_scenarios_parallel(
     requests: Sequence[ScenarioRequest],
     processes: Optional[int] = None,
     on_result: Optional[Callable[[int, ScenarioResult], None]] = None,
-    ordered: bool = True,
 ) -> List[ScenarioResult]:
     """Run scenarios across worker processes; results come back in order.
 
@@ -196,17 +196,10 @@ def run_scenarios_parallel(
         processes: worker process count.  ``None`` chooses one per CPU
             (capped by the request count); ``1`` runs serially in-process.
         on_result: optional ``(index, result)`` callback invoked as each
-            scenario completes — results are streamed off the pool, so
-            callers can persist or aggregate them incrementally instead of
-            waiting for the slowest scenario.  ``index`` is the request's
-            position in ``requests``.
-        ordered: with the default ``True`` the stream (and ``on_result``)
-            follows request order (``imap``).  ``False`` switches to
-            ``imap_unordered``: completions are delivered the moment *any*
-            worker finishes, so a slow early scenario no longer stalls the
-            commit stream behind it — the mode the sharded sweep driver uses
-            to checkpoint progress as fast as the pool produces it.  The
-            *returned list* is in request order either way.
+            scenario completes, in completion order — results are streamed
+            off the pool, so callers can persist or aggregate them
+            incrementally instead of waiting for the slowest scenario.
+            ``index`` is the request's position in ``requests``.
 
     Returns:
         One :class:`ScenarioResult` per request, in request order.
@@ -232,16 +225,8 @@ def run_scenarios_parallel(
 
     def _fan_out(pending: List[Tuple[int, ScenarioRequest]]) -> None:
         """Run ``pending`` (original-index, request) pairs on a fresh pool."""
-        batch = [request for _, request in pending]
-        with context.Pool(min(processes, len(batch))) as pool:
-            if ordered:
-                stream = enumerate(pool.imap(_run_request, batch, chunksize=1))
-            else:
-                stream = pool.imap_unordered(
-                    _run_indexed, list(enumerate(batch)), chunksize=1
-                )
-            for batch_index, result in stream:
-                index = pending[batch_index][0]
+        with context.Pool(min(processes, len(pending))) as pool:
+            for index, result in pool.imap_unordered(_run_indexed, pending, chunksize=1):
                 if on_result is not None:
                     on_result(index, result)
                 slots[index] = result

@@ -12,8 +12,10 @@ past both limits:
   on ``(key, N)``, so it is stable across machines, re-runs and Python
   versions — every machine that runs ``--shard i/N`` of the same grid agrees
   on who owns what, with no coordinator.
-* **The cache as the dedup/commit layer** — a shard executes only its own
-  cache misses through :func:`run_scenarios_parallel` (unordered streaming,
+* **The cache as the dedup/commit layer** — a shard reads its units
+  through the engine's :func:`~repro.experiments.engine.lookup` (that is,
+  :meth:`ResultCache.get`, the cache's one read), runs only the misses
+  through :func:`~repro.experiments.engine.simulate` (one pool, streaming,
   so completions commit the moment any worker finishes) and commits every
   completed scenario twice: to the shared
   :class:`~repro.experiments.cache.ResultCache` (global dedup across shards,
@@ -26,10 +28,12 @@ past both limits:
   row store or the cache and simulates just the remainder.  A truncated
   final line (the signature of a kill) is ignored on read.
 * **Merge** — :func:`merge_sweep` folds every shard's row store (plus the
-  cache as fallback) back into each spec's seed-major result order, then
-  reuses the engine's :func:`~repro.experiments.engine.rows_for_expanded`,
-  so the merged rows are byte-identical to a single-machine
-  ``run_experiment`` of the same grid.
+  cache as fallback, read through the same ``lookup``) back into each
+  spec's seed-major result order, then reuses the engine's
+  :func:`~repro.experiments.engine.rows_for_expanded`, so the merged rows
+  are byte-identical to a single-machine ``run_experiment`` of the same
+  grid.  With ``--simulate-missing`` the leftovers go through ``simulate``
+  too, which runs each distinct request once.
 
 Traced requests (Figure 9) are ordinary units: their results serialize with
 their trace records, so they shard, commit and merge like every other
@@ -65,6 +69,7 @@ import json
 import os
 import re
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,9 +91,11 @@ from repro.experiments.engine import (
     ExperimentReport,
     _resolve_cache,
     expand_experiment,
+    lookup,
     rows_for_expanded,
+    simulate,
 )
-from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
+from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import ExperimentSpec, get_experiment
 from repro.experiments.runner import ScenarioResult
 
@@ -128,9 +135,7 @@ def shard_for_key(key: str, num_shards: int, prefix_len: int = KEY_PREFIX_LEN) -
     ``p``, select shard ``p * num_shards // 16**prefix_len`` — i.e. the key
     space ``[0, 16**prefix_len)`` is cut into ``num_shards`` contiguous,
     near-equal ranges.  SHA-256 keys are uniform, so shard sizes are
-    balanced to within sampling noise; contiguity means each shard owns a
-    literal key *range*, which makes ``ResultCache.iter_keys(prefix)``-style
-    range scans line up with shard ownership.
+    balanced to within sampling noise.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -156,9 +161,6 @@ class SweepGrid:
     expanded: Tuple[ExpandedExperiment, ...]
     units: Tuple[SweepUnit, ...]  # every spec's units, in spec order
     fingerprint: str
-
-    def expanded_by_name(self) -> Dict[str, ExpandedExperiment]:
-        return {expansion.spec.name: expansion for expansion in self.expanded}
 
     def unique_units(self) -> List[SweepUnit]:
         """One unit per distinct cache key (first occurrence wins).
@@ -504,7 +506,7 @@ def _check_store_grid(store: ShardStore, grid: SweepGrid) -> None:
 def _result_from_payload(payload: object) -> Optional[ScenarioResult]:
     """Rebuild a result from a row-store payload; ``None`` if it is damaged.
 
-    Mirrors the cache's damaged-entry contract (:meth:`ResultCache.load`):
+    Mirrors the cache's damaged-entry contract (:meth:`ResultCache.get`):
     a payload that cannot be rebuilt costs a fallback source or a
     re-simulation, never an abort.
     """
@@ -514,7 +516,7 @@ def _result_from_payload(payload: object) -> Optional[ScenarioResult]:
         return None
 
 
-def _record_for(unit: SweepUnit, result_payload: Mapping[str, object], source: str) -> Dict[str, object]:
+def _record_for(unit: SweepUnit, result: ScenarioResult, source: str) -> Dict[str, object]:
     return {
         "schema": SWEEP_SCHEMA,
         "key": unit.key,
@@ -522,7 +524,7 @@ def _record_for(unit: SweepUnit, result_payload: Mapping[str, object], source: s
         "flat_index": unit.flat_index,
         "seed": unit.seed,
         "source": source,
-        "result": dict(result_payload),
+        "result": result.to_dict(),
     }
 
 
@@ -561,12 +563,13 @@ def run_sweep_shard(
     """Execute (or resume) one shard of a sweep grid.
 
     Only this shard's units are considered; of those, units already in the
-    row store are skipped outright, units present in the shared cache are
-    committed to the store without simulating, and the remainder is fanned
-    out through :func:`run_scenarios_parallel` in unordered streaming mode —
-    every completion is written to the cache *and* appended to the row store
-    the moment it arrives, so an interrupt loses only in-flight scenarios
-    and re-running the identical command resumes from the committed state.
+    row store are skipped outright, units the engine's
+    :func:`~repro.experiments.engine.lookup` finds in the shared cache are
+    committed to the store without simulating, and the remainder goes
+    through :func:`~repro.experiments.engine.simulate` — every completion is
+    written to the cache *and* appended to the row store the moment it
+    arrives, so an interrupt loses only in-flight scenarios and re-running
+    the identical command resumes from the committed state.
     """
     if not 0 <= shard_index < num_shards:
         raise ValueError("shard_index must be within [0, num_shards)")
@@ -612,32 +615,22 @@ def run_sweep_shard(
         return report
 
     with store.appender() as append:
+        # A hit commits its result's to_dict(), byte-identical to the payload
+        # the cache stored; a damaged entry is a miss and re-simulates.
         misses: List[SweepUnit] = []
-        for unit in pending:
-            # The raw cached payload is committed byte-for-byte, but only
-            # after it survives a ScenarioResult rebuild — a damaged cache
-            # entry degrades to a re-simulation instead of poisoning the
-            # row store.
-            loaded = result_cache.load(unit.key) if result_cache else None
-            if loaded is not None:
-                append(_record_for(unit, loaded[0], source="cache"))
-                report.from_cache += 1
-            else:
+        cached = lookup([unit.request for unit in pending], result_cache)
+        for unit, result in zip(pending, cached):
+            if result is None:
                 misses.append(unit)
+            else:
+                append(_record_for(unit, result, source="cache"))
+                report.from_cache += 1
 
         def _commit(index: int, result: ScenarioResult) -> None:
-            unit = misses[index]
-            if result_cache is not None:
-                result_cache.put(unit.request, result)
-            append(_record_for(unit, result.to_dict(), source="simulated"))
+            append(_record_for(misses[index], result, source="simulated"))
             report.simulated += 1
 
-        run_scenarios_parallel(
-            [unit.request for unit in misses],
-            processes=processes,
-            on_result=_commit,
-            ordered=False,
-        )
+        simulate([unit.request for unit in misses], processes, result_cache, _commit)
     return report
 
 
@@ -761,7 +754,7 @@ class SweepMergeReport:
     reports: List[ExperimentReport] = field(default_factory=list)
     from_store: int = 0  # units served by shard row stores
     from_cache: int = 0  # units the stores lacked but the cache held
-    simulated: int = 0  # units simulated by the merge itself
+    simulated: int = 0  # distinct requests simulated by the merge itself
 
 
 def merge_sweep(
@@ -778,9 +771,11 @@ def merge_sweep(
     """Fold every shard's row store back into per-spec report rows.
 
     Results are sourced per unit: shard row stores first, the shared cache
-    second, the simulator last — and only when ``simulate_missing`` is set.
-    With every shard
-    complete the merge touches no simulator at all and its rows are
+    second (:func:`~repro.experiments.engine.lookup`), the simulator last —
+    and only when ``simulate_missing`` is set, through
+    :func:`~repro.experiments.engine.simulate`, which runs a request that
+    several units share (a seed-insensitive replicate) once.  With every
+    shard complete the merge touches no simulator at all and its rows are
     byte-identical to a single-machine ``run_experiment`` of the same grid,
     because both paths share the grid expansion and row aggregation code.
 
@@ -804,29 +799,30 @@ def merge_sweep(
         expansion.spec.name: [None] * len(expansion.requests)
         for expansion in grid.expanded
     }
-    served: Dict[str, Dict[str, int]] = {
-        expansion.spec.name: {"store": 0, "cache": 0, "simulated": 0}
-        for expansion in grid.expanded
-    }
-    pending: List[SweepUnit] = []
+    hits: Counter = Counter()  # units served by a store or the cache, by spec
+    simulated: Counter = Counter()  # distinct requests simulated, by spec
+    unserved: List[SweepUnit] = []
     for unit in grid.units:
         record = committed.get(unit.key)
         result = _result_from_payload(record["result"]) if record is not None else None
-        if result is not None:
-            results[unit.experiment][unit.flat_index] = result
-            report.from_store += 1
-            served[unit.experiment]["store"] += 1
+        if result is None:
+            unserved.append(unit)
             continue
-        loaded = result_cache.load(unit.key) if result_cache else None
-        if loaded is not None:
-            results[unit.experiment][unit.flat_index] = loaded[1]
-            report.from_cache += 1
-            served[unit.experiment]["cache"] += 1
-            continue
-        pending.append(unit)
+        results[unit.experiment][unit.flat_index] = result
+        report.from_store += 1
+        hits[unit.experiment] += 1
     # Every record has been consulted exactly once; drop the raw payloads
     # before the simulation fan-out so peak memory is one result set, not two.
     committed.clear()
+    pending: List[SweepUnit] = []
+    cached = lookup([unit.request for unit in unserved], result_cache)
+    for unit, result in zip(unserved, cached):
+        if result is None:
+            pending.append(unit)
+            continue
+        results[unit.experiment][unit.flat_index] = result
+        report.from_cache += 1
+        hits[unit.experiment] += 1
     if pending and not simulate_missing:
         raise SweepIncomplete(
             f"{len(pending)} scenario(s) of the grid are in no shard store and not"
@@ -834,22 +830,13 @@ def merge_sweep(
             missing=len(pending),
         )
 
-    if pending:
+    def _count(index: int, result: ScenarioResult) -> None:
+        simulated[pending[index].experiment] += 1
+        report.simulated += 1
 
-        def _place(index: int, result: ScenarioResult) -> None:
-            unit = pending[index]
-            results[unit.experiment][unit.flat_index] = result
-            served[unit.experiment]["simulated"] += 1
-            if result_cache is not None:
-                result_cache.put(unit.request, result)
-            report.simulated += 1
-
-        run_scenarios_parallel(
-            [unit.request for unit in pending],
-            processes=processes,
-            on_result=_place,
-            ordered=False,
-        )
+    fresh = simulate([unit.request for unit in pending], processes, result_cache, _count)
+    for unit, result in zip(pending, fresh):
+        results[unit.experiment][unit.flat_index] = result
 
     for expansion in grid.expanded:
         name = expansion.spec.name
@@ -861,8 +848,8 @@ def merge_sweep(
                 seeds=expansion.seed_values,
                 rows=rows,
                 rows_by_seed=rows_by_seed,
-                cache_hits=served[name]["store"] + served[name]["cache"],
-                simulated=served[name]["simulated"],
+                cache_hits=hits[name],
+                simulated=simulated[name],
             )
         )
     return report

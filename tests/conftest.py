@@ -66,3 +66,24 @@ def unreachable_after():
         return result, found
 
     return measure
+
+
+@pytest.fixture
+def executed_requests(monkeypatch):
+    """Every request the scenario runner executes, in order.
+
+    Wraps the runner's worker entry point, so it counts the simulations of
+    every engine path — ``run``, ``sweep run`` and ``sweep merge`` alike —
+    as long as they run serially (``processes=1``), in this process.
+    """
+    from repro.experiments import parallel
+
+    executed = []
+    run_request = parallel._run_request
+
+    def counted(request):
+        executed.append(request)
+        return run_request(request)
+
+    monkeypatch.setattr(parallel, "_run_request", counted)
+    return executed

@@ -220,6 +220,20 @@ def test_cli_dse_expect_cached_round_trip(tmp_path, capsys):
     assert "frontier" in out and "0 simulated" in out.replace("8 simulated", "0 simulated")
 
 
+def test_cli_dse_unwritable_csv_is_a_clean_error(tmp_path, capsys):
+    """Regression: a --csv path whose directory is missing raised a
+    traceback (exit 1) after the grid had run."""
+    path = tmp_path / "no" / "such" / "dir" / "x.csv"
+    exit_code = cli_main(
+        ["dse", "--quick", "--scheduler", "daris", "--jobs", "1",
+         "--cache-dir", str(tmp_path / "cache"), "--csv", str(path)]
+    )
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert "--csv: " in err and str(path) in err
+    assert not path.exists()
+
+
 def test_cli_list_json_declares_params_and_axes(capsys):
     assert cli_main(["list", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -25,6 +25,7 @@ from repro.experiments.engine import (
     expand_experiment,
     run_cached_scenarios,
     run_experiment,
+    run_experiments,
 )
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.registry import (
@@ -246,12 +247,8 @@ def test_entries_embedding_the_fingerprint_still_hit(tmp_path, resnet18):
     }
     path.write_text(json.dumps(older, separators=(",", ":")), encoding="utf-8")
 
-    entry = cache.read_entry(key)
-    assert entry is not None and ScenarioResult.from_dict(entry["result"]) == result
-    payload, loaded = cache.load(key)  # what the sweep driver reads
-    assert payload == result.to_dict() and loaded == result
     assert cache.get(request) == result
-    assert (cache.hits, cache.misses) == (3, 0)
+    assert (cache.hits, cache.misses) == (1, 0)
     assert path.is_file()
 
 
@@ -291,7 +288,7 @@ def test_cache_directory_is_created_lazily(tmp_path, resnet18):
     assert cache.put(request, result)
     assert cache_dir.is_dir() and cache.exists()
     assert cache.contains(cache.key_for(request))
-    assert list(cache.iter_keys()) == [cache.key_for(request)]
+    assert len(cache) == 1
 
 
 def test_cache_prune_and_clear(tmp_path, resnet18):
@@ -337,6 +334,50 @@ def test_cached_rows_are_bit_identical_to_fresh(tmp_path):
     assert cached.simulated == 0
     assert cached.cache_hits == len(TINY_CONFIGS)
     assert cached.rows == fresh.rows  # bit-identical, not approximately equal
+
+
+def _configs_spec(name: str, configs) -> ExperimentSpec:
+    def build(ctx):
+        requests = [
+            ScenarioRequest(_tiny_taskset(), config, TINY_HORIZON, seed=ctx.seed)
+            for config in configs
+        ]
+        return ExperimentPlan(
+            requests=requests,
+            make_rows=lambda row_ctx: [
+                _tiny_row(config, result) for config, result in zip(configs, row_ctx.results)
+            ],
+        )
+
+    return ExperimentSpec(name=name, title=f"{name} test spec", build=build)
+
+
+def test_one_plan_simulates_a_request_two_specs_share_once(tmp_path, executed_requests):
+    """Regression: ``run a b --no-cache`` re-simulated every request that
+    the two specs share.  One plan runs it once, its rows equal separate
+    runs, and the counts follow the specs' order as if run one by one."""
+    first = _configs_spec("first", TINY_CONFIGS)
+    second = _configs_spec("second", [TINY_CONFIGS[1], DarisConfig.mps_config(6, 6.0)])
+    separate = [run_experiment(spec, quick=True, processes=1) for spec in (first, second)]
+    assert len(executed_requests) == 4
+    del executed_requests[:]
+
+    uncached = run_experiments([first, second], quick=True, processes=1)
+    assert len(executed_requests) == 3  # four requests, one of them shared
+    assert [report.rows for report in uncached] == [report.rows for report in separate]
+    counts = [(r.cache_hits, r.cache_misses, r.simulated) for r in uncached]
+    assert counts == [(0, 0, 2), (0, 0, 1)]
+    del executed_requests[:]
+
+    # On a cold cache the second spec finds the shared request cached, as
+    # it would have had the first spec run (and stored it) before.
+    cold = run_experiments(
+        [first, second], quick=True, processes=1, cache=ResultCache(tmp_path / "cache")
+    )
+    assert len(executed_requests) == 3
+    assert [report.rows for report in cold] == [report.rows for report in separate]
+    counts = [(r.cache_hits, r.cache_misses, r.simulated) for r in cold]
+    assert counts == [(0, 2, 2), (1, 1, 1)]
 
 
 def test_run_cached_scenarios_round_trip(tmp_path):

@@ -320,8 +320,8 @@ def test_corrupt_cache_entries_are_quarantined_and_rewritten(tmp_path):
     assert cache.get(request) is None
     quarantined = path.with_suffix(path.suffix + ".corrupt")
     assert quarantined.is_file() and not path.exists()
-    # Quarantined files are invisible to key iteration and entry counting.
-    assert key not in set(cache.iter_keys())
+    # Quarantined files are invisible to key probes and entry counting.
+    assert not cache.contains(key)
     assert len(cache) == 0
 
     # Re-simulating rewrites a clean entry under the same key; the

@@ -196,7 +196,6 @@ def test_parallel_runner_unordered_mode_returns_request_order():
     seen = {}
     results = run_scenarios_parallel(
         requests, processes=2, on_result=lambda i, r: seen.__setitem__(i, r.label),
-        ordered=False,
     )
     assert [r.label for r in results] == ["a", "b", "c"]
     assert seen == {0: "a", 1: "b", 2: "c"}

@@ -17,7 +17,9 @@ from collections import Counter
 
 import pytest
 
+import repro.experiments.engine as engine_module
 import repro.experiments.sweep as sweep_module
+from repro.backends.configs import GSliceConfig
 from repro.experiments import cli
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import run_experiment
@@ -37,6 +39,7 @@ from repro.experiments.sweep import (
 )
 from repro.rt.taskset import table2_taskset
 from repro.scheduler.config import DarisConfig
+from repro.sim.workload import SATURATED_WORKLOAD
 
 TINY_HORIZON = 600.0
 TINY_CONFIGS = [DarisConfig.mps_config(2, 2.0), DarisConfig.str_config(2)]
@@ -163,6 +166,33 @@ def test_rerunning_a_complete_shard_simulates_nothing(tmp_path):
     assert second.simulated == 0 and second.from_cache == 0
 
 
+@pytest.mark.parametrize("with_trace", [False, True], ids=["untraced", "traced"])
+def test_shard_commits_the_bytes_of_a_cache_that_run_filled(tmp_path, with_trace):
+    """A cache hit is committed as its rebuilt result's ``to_dict()``; the
+    JSON of that payload equals the cache entry's ``result`` byte for byte."""
+    spec = _tiny_spec(with_trace=with_trace)
+    cache = ResultCache(tmp_path / "cache")
+    run_experiment(spec, quick=True, seeds=2, processes=1, cache=cache)
+    report = run_sweep_shard(
+        [spec], shard_index=0, num_shards=1, quick=True, seeds=2, processes=1,
+        sweep_dir=tmp_path / "sweep", cache=cache,
+    )
+    assert report.from_cache == report.shard_units == 4 and report.simulated == 0
+
+    def _result_json(text: str) -> str:
+        # The envelope's "result" is its last key: the payload runs to the
+        # envelope's closing brace.
+        return text.split('"result":', 1)[1][:-1]
+
+    lines = ShardStore(tmp_path / "sweep", 0, 1).rows_path.read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        record = json.loads(line)
+        assert record["source"] == "cache"
+        entry = cache.path_for(record["key"]).read_text(encoding="utf-8")
+        assert _result_json(line) == _result_json(entry)
+
+
 # ---------------------------------------------------------------------- resume
 
 
@@ -178,7 +208,7 @@ def test_killed_shard_resumes_only_uncommitted_scenarios(tmp_path, monkeypatch):
             on_result(0, result)  # one scenario commits (cache + rows.jsonl) ...
         raise KeyboardInterrupt  # ... then the machine dies
 
-    monkeypatch.setattr(sweep_module, "run_scenarios_parallel", _killed_after_one)
+    monkeypatch.setattr(engine_module, "run_scenarios_parallel", _killed_after_one)
     with pytest.raises(KeyboardInterrupt):
         run_sweep_shard(
             [spec], shard_index=0, num_shards=1,
@@ -346,6 +376,31 @@ def test_merge_of_incomplete_sweep_raises_then_simulates_on_request(tmp_path):
     assert again.simulated == 0 and again.from_cache == missing
 
 
+def test_merge_simulates_a_request_its_replicates_share_once(tmp_path, executed_requests):
+    """Regression: ``merge --simulate-missing`` simulated a seed-insensitive
+    request (here a saturated GSlice server) once per seed replicate."""
+    request = ScenarioRequest(
+        _tiny_taskset(), GSliceConfig(batch_sizes=(16,)), TINY_HORIZON,
+        scheduler="gslice", workload=SATURATED_WORKLOAD,
+    )
+    spec = ExperimentSpec(
+        name="saturated_gslice",
+        title="one saturated GSlice request",
+        build=lambda ctx: ExperimentPlan(
+            requests=[request],
+            make_rows=lambda row_ctx: [{"jps": round(row_ctx.results[0].total_jps, 1)}],
+        ),
+    )
+    assert len(build_sweep_grid([spec], quick=True, seeds=2).units) == 2
+    merged = merge_sweep(
+        [spec], quick=True, seeds=2, processes=1, simulate_missing=True,
+        sweep_dir=tmp_path / "sweep", cache=ResultCache(tmp_path / "cache"),
+    )
+    assert executed_requests == [request]
+    assert merged.simulated == 1 and merged.reports[0].simulated == 1
+    assert merged.reports[0].rows == run_experiment(spec, quick=True, seeds=2).rows
+
+
 def test_traced_scenarios_shard_commit_and_merge_without_simulating(tmp_path):
     spec = _tiny_spec(with_trace=True)  # its rows assert each result's trace
     shard_units = 0
@@ -387,7 +442,7 @@ def test_plan_probes_without_simulating_or_creating_directories(tmp_path, monkey
     def _forbidden(*args, **kwargs):
         raise AssertionError("plan must not simulate")
 
-    monkeypatch.setattr(sweep_module, "run_scenarios_parallel", _forbidden)
+    monkeypatch.setattr(engine_module, "run_scenarios_parallel", _forbidden)
     grid, entries = plan_sweep(
         [spec], num_shards=2, quick=True, seeds=2,
         sweep_dir=tmp_path / "sweep", cache=tmp_path / "cache",
