@@ -10,7 +10,6 @@ Usage::
     python -m repro.experiments run faults --quick --fault storm
     python -m repro.experiments run fig9 --quick --set daris.mret_window=8 --set gpu.sm_count=40
     python -m repro.experiments dse --quick --seeds 3 --cache-dir .cache
-    python -m repro.experiments run fig4_6 --quick --no-cache --profile
     python -m repro.experiments cache --cache-dir .cache [--prune-max-entries N] [--clear]
     python -m repro.experiments sweep plan --all --shards 8 --seeds 5
     python -m repro.experiments sweep run --all --shard 3/8 --seeds 5
@@ -32,6 +31,12 @@ usage error.
 ``--expect-cached`` turns the run into an assertion that *zero* scenarios
 had to be simulated — CI uses it to verify that a repeated invocation is
 served entirely from cache.
+
+To profile a run, run it serially (worker processes are invisible to the
+parent's profiler) under the standard-library profiler, which writes its
+table to a file and leaves standard output to the run::
+
+    python -m cProfile -o run.prof -m repro.experiments run fig4_6 --quick --no-cache --jobs 1
 
 ``sweep`` is the multi-machine face of the same grids: ``plan`` sizes the
 shards without simulating, ``run --shard i/N`` executes (or resumes) one
@@ -300,15 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"exit {EXIT_NOT_CACHED} if any scenario had to be simulated",
     )
     run_parser.add_argument("--json", action="store_true", help="emit rows as JSON lines")
-    run_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run under cProfile and print the top 25 functions by cumulative"
-            " time; forces --jobs 1 (worker processes are invisible to the"
-            " parent's profiler)"
-        ),
-    )
 
     dse_parser = subparsers.add_parser(
         "dse",
@@ -686,33 +682,17 @@ def _command_run(args: argparse.Namespace) -> int:
     cache: Optional[ResultCache] = None if args.no_cache else ResultCache(args.cache_dir)
     params = _params_for(args)
     _warn_unknown_params(specs, params)
-    profiler = None
-    jobs = args.jobs
-    if args.profile:
-        import cProfile
-
-        # Worker processes run their own interpreters; only a serial run
-        # gives the profiler the actual simulation work.
-        jobs = 1
-        profiler = cProfile.Profile()
-        profiler.enable()
     reports = run_experiments(
         specs,
         quick=args.quick,
         seeds=args.seeds,
         base_seed=args.base_seed,
-        processes=jobs,
+        processes=args.jobs,
         cache=cache,
         params=params,
     )
     for report in reports:
         _print_report(report, args.json)
-    if profiler is not None:
-        import pstats
-
-        profiler.disable()
-        print("== cProfile: top 25 by cumulative time ==")
-        pstats.Stats(profiler, stream=sys.stdout).sort_stats("cumulative").print_stats(25)
 
     total_misses = sum(report.cache_misses for report in reports)
     if not args.json:

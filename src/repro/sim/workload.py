@@ -64,7 +64,7 @@ class ArrivalEvent:
 
     A ``__slots__`` value type rather than a frozen dataclass: one instance
     is created per generated release, so construction cost is the floor of
-    every workload benchmark.  Equality and hashing follow the historical
+    release generation.  Equality and hashing follow the historical
     ``(index, time)`` field tuple.
     """
 
@@ -543,8 +543,7 @@ class DiurnalArrival(ArrivalProcess):
         # Buffered vectorized inversion needs a drive-ahead-safe base (the
         # buffer over-pulls past the consumer) and the Newton sin path: the
         # numpy pass only produces *candidates*, the per-event crossing scan
-        # (scalar libm, bitwise-identical to the reference bisection) does
-        # the exact inversion.
+        # (scalar libm) does the inversion.
         self._buffered = (
             self.chunk_safe
             and self.profile.shape == "sin"
@@ -644,8 +643,7 @@ class DiurnalArrival(ArrivalProcess):
                 event = self._base.next_arrival()
                 if math.isinf(event.time):
                     return event
-                # The numeric inversion is exact to the reference bisection;
-                # clamp so a pair of near-coincident base events can never
+                # Clamp so a pair of near-coincident base events can never
                 # come back inverted.
                 time = max(self.profile.inverse_cumulative(event.time), self._last)
                 self._last = time
@@ -854,9 +852,20 @@ class DiurnalModulator:
 
     Modulation is applied by time-rescaling through the cumulative profile,
     which needs no randomness and preserves event order for every base.
-    The sinusoidal profile inverts by a Newton-seeded crossing scan that
-    reproduces the 64-step bisection *bitwise* (see ``_sin_crossing``); the
-    bisection remains the runtime fallback.
+    The sinusoidal profile inverts by a Newton-seeded crossing scan (see
+    ``_sin_crossing``), with the 64-step bisection ``_sin_bisect`` as its
+    fallback.  The scan returns the bisection's result wherever the float
+    predicate ``cumulative(t) >= target`` flips once near the root.  That
+    held for every target tried at amplitude <= 0.5, and for
+    ``DIURNAL_WORKLOAD`` (amplitude 0.6, period 1 s), which
+    ``tests/test_sim_workload.py`` pins.  Near the rate trough of a deeper
+    or faster profile the predicate can flip several times within a few
+    ulp, and the scan returns the flip nearest its candidate: at amplitude
+    0.6 and period 700 ms a few of 4,000 random targets invert differently
+    from bisection, at amplitude 0.9 and period 300 ms a few dozen.  The
+    buffered path of :class:`DiurnalArrival` takes its candidates from
+    numpy's ``cos``/``sin`` and the scalar path from libm, so on such
+    profiles the two paths can also differ from each other.
     """
 
     period_ms: float = 1000.0
@@ -939,11 +948,12 @@ class DiurnalModulator:
         """The reference inversion: 64 bisection steps on the slack bracket.
 
         cumulative(t) - t is bounded by amplitude * period / π, so the root
-        is bracketed; bisection is deterministic and monotone.  64 halvings
-        shrink the bracket far below one ulp, so the result is the
-        round-to-even midpoint of the adjacent float pair (l, h) straddling
-        the predicate boundary ``cumulative(t) >= target`` — which is what
-        ``_sin_crossing`` reproduces directly.
+        is bracketed; bisection is deterministic.  64 halvings shrink the
+        bracket far below one ulp, so the result is the round-to-even
+        midpoint of an adjacent float pair (l, h) at which the predicate
+        ``cumulative(t) >= target`` flips.  Where it flips once near the
+        root, ``_sin_crossing`` finds the same pair directly; where it flips
+        several times, the bisection's path picks one of them.
         """
         low = max(0.0, target - self.amplitude * self.period_ms / math.pi)
         high = target + 1e-12
@@ -958,8 +968,8 @@ class DiurnalModulator:
     def _sin_newton(self, target: float) -> float:
         """Newton candidate for ``Λ⁻¹(target)``, seeded by the linear inverse.
 
-        Accuracy-only: the exact (bisection-identical) result comes from
-        ``_sin_crossing``, so this just has to land within a few ulp.
+        Accuracy-only: the result comes from ``_sin_crossing``, so this
+        just has to land within a few ulp.
         ``Λ' = 1 + amplitude·sin(ωt) >= 1 - amplitude > 0``, so the
         iteration is well-conditioned for the amplitudes it is gated to.
         """
@@ -984,9 +994,12 @@ class DiurnalModulator:
     def _sin_newton_candidates(self, targets: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`_sin_newton` over a batch of targets.
 
-        numpy trig may differ from libm in the last ulp; that is fine here
-        because these are only candidates — ``_sin_crossing`` does every
-        exactness-bearing evaluation with ``math.cos``.
+        numpy trig may differ from libm in the last ulp, so a candidate may
+        differ from :meth:`_sin_newton`'s.  ``_sin_crossing`` evaluates the
+        predicate with ``math.cos``, so where it flips once near the root
+        both candidates give the same result.  Where it flips several
+        times, the result depends on the candidate, and the buffered and
+        scalar paths can differ (see the class docstring).
         """
         angular = 2.0 * math.pi / self.period_ms
         coeff = self.amplitude / angular
@@ -999,16 +1012,17 @@ class DiurnalModulator:
         return t
 
     def _sin_crossing(self, target: float, candidate: float) -> Optional[float]:
-        """Bisection-identical inversion from a near-converged candidate.
+        """Inversion from a near-converged candidate.
 
         Locates the adjacent float pair (l, h) with ``cumulative(l) <
-        target <= cumulative(h)`` by ulp-stepping from the candidate, then
-        returns the same round-to-even midpoint the reference bisection
-        converges to.  Returns ``None`` (caller falls back to the real
-        bisection) when the candidate is too far off, or when the crossing
-        lies at/below the bracket floor ``max(0, target - slack)`` — there
-        the bisection's never-evaluated endpoint takes over and its result
-        is not the crossing midpoint.
+        target <= cumulative(h)`` nearest the candidate by ulp-stepping from
+        it, then returns its round-to-even midpoint.  That is the reference
+        bisection's result wherever the predicate flips once near the root
+        (see the class docstring).  Returns ``None`` (caller falls back to
+        the real bisection) when the candidate is too far off, or when the
+        crossing lies at/below the bracket floor ``max(0, target - slack)``
+        — there the bisection's never-evaluated endpoint takes over and its
+        result is not the crossing midpoint.
         """
         period = self.period_ms
         angular = 2.0 * math.pi / period

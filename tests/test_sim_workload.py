@@ -160,6 +160,29 @@ def test_diurnal_preserves_mean_rate():
     assert 85.0 <= measured <= 115.0  # nominal 100 jps
 
 
+def test_diurnal_workload_inverts_like_the_reference_bisection():
+    """``DIURNAL_WORKLOAD``'s Newton inversion equals ``_sin_bisect`` on both paths.
+
+    Every grid and perfbench's ``cluster-64gpu`` use this profile.  The
+    scalar ``inverse_cumulative`` and the buffered per-task ``ReleaseStream``
+    must both give the bisection's time for each base (operational-time)
+    event, drawn from the same seeded stream without the profile.
+    """
+    profile = DIURNAL_WORKLOAD.diurnal
+    horizon_ms = 8_000.0
+    checked = 0
+    for task_id in range(3):
+        base = ReleaseStream(POISSON_WORKLOAD, RngFactory(1)).arrival_for(task_id, 4.0)
+        modulated = ReleaseStream(DIURNAL_WORKLOAD, RngFactory(1)).arrival_for(task_id, 4.0)
+        base_times = [event.time for event in base.events(profile.cumulative(horizon_ms) + 50.0)]
+        released = [event.time for event in modulated.events(horizon_ms)]
+        expected = [profile._sin_bisect(time) for time in base_times]
+        assert released == expected[: len(released)]
+        assert [profile.inverse_cumulative(time) for time in base_times] == expected
+        checked += len(released)
+    assert checked >= 5_000
+
+
 # ----------------------------------------------- property-style invariants
 
 
