@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.baselines.gslice import BatchRun
 from repro.baselines.results import single_class_metrics
@@ -90,7 +88,7 @@ class BatchingServer:
         horizon_ms: float,
         timeout_ms: Optional[float] = None,
         workload: Optional[WorkloadSpec] = None,
-        rng: Union[np.random.Generator, RngFactory, None] = None,
+        rng: Optional[RngFactory] = None,
         faults: Optional[FaultSpec] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> BatchingArrivalResult:
@@ -106,8 +104,8 @@ class BatchingServer:
         through the shared :class:`~repro.sim.workload.ReleaseStream`: the
         default (``periodic``) is the historical fixed-rate stream at
         ``arrival_rate_jps``; ``poisson`` / ``mmpp`` draw memoryless / bursty
-        inter-arrivals at the same mean rate (``rng`` required — an
-        :class:`~repro.sim.rng.RngFactory` or a bare generator), ``trace``
+        inter-arrivals at the same mean rate (``rng``, an
+        :class:`~repro.sim.rng.RngFactory`, required), ``trace``
         replays explicit times, and jitter / diurnal modulators compose on
         any rate-driven kind.  Saturated workloads have no arrival stream —
         run a one-partition :class:`~repro.baselines.gslice.GSliceServer`.
@@ -128,9 +126,7 @@ class BatchingServer:
                 "saturated workloads have no arrival stream; run a one-partition GSliceServer"
             )
         policy = resilience if resilience is not None else DEFAULT_POLICY
-        injector = FaultInjector(
-            faults, rng=rng if isinstance(rng, RngFactory) else None, policy=policy
-        )
+        injector = FaultInjector(faults, rng=rng, policy=policy)
         faults_active = faults is not None and faults.active
         simulator = Simulator()
         platform = GpuPlatform(

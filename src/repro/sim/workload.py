@@ -1,11 +1,12 @@
 """Arrival processes for periodic, aperiodic and bursty real-time workloads.
 
 DARIS targets periodic soft real-time inference tasks, so the primary process
-is :class:`PeriodicArrival` (period, phase, optional bounded release jitter).
-The other processes model the load shapes a deployed inference service sees:
-memoryless request streams (:class:`PoissonArrival`), bursty load from a
-Markov-modulated Poisson process (:class:`MmppArrival`), and replayed
-production traces (:class:`TraceArrival`).
+is :class:`PeriodicArrival` (period and phase).  The other processes model
+the load shapes a deployed inference service sees: memoryless request
+streams (:class:`PoissonArrival`), bursty load from a Markov-modulated
+Poisson process (:class:`MmppArrival`), and replayed production traces
+(:class:`TraceArrival`).  Each process is one scalar generator: it draws
+its randomness one event at a time.
 
 The declarative face of the same processes is :class:`WorkloadSpec` — a pure
 value built from two composable halves:
@@ -26,9 +27,10 @@ existing cache entry is invalidated; new kinds and modulators add keys only
 when present.
 
 :class:`ReleaseStream` is the one shared driver that turns a spec into
-scheduled simulator events.  Every backend (DARIS, RTGPU, Clockwork, the
-batching server) consumes it instead of hand-rolling its own arrival loop,
-which is what makes a new arrival kind a one-file change.
+scheduled simulator events.  Every serving loop that releases work consumes
+it: the DARIS scheduler (which also runs RTGPU), the cluster server (which
+also runs Clockwork as one GPU) and the batching server.  That is what
+makes a new arrival kind a one-file change.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ from typing import (
     ClassVar,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
     Type,
-    Union,
 )
 
 import numpy as np
@@ -90,38 +90,20 @@ class ArrivalProcess:
     """Common machinery shared by every concrete arrival process.
 
     Subclasses implement :meth:`next_arrival`; generation is lazy — each call
-    produces exactly the next event, so driving a large horizon never
-    materializes the whole release list.  A finite process (trace replay)
-    signals exhaustion by returning events at ``time = inf``, which every
-    horizon-bounded consumer treats as "past the horizon".
-
-    ``chunk_safe`` marks a process that may be generated *ahead* of its
-    consumer with no observable effect — either it draws no randomness at
-    all, or it draws from an RNG stream it owns exclusively, so pre-drawing
-    future values cannot perturb any other consumer's sequence.  Batched
-    modulators (the diurnal inverter) use it to decide whether buffering the
-    base process is allowed.
+    produces exactly the next event and draws only the randomness that event
+    needs, so driving a large horizon never materializes the whole release
+    list and no RNG stream is consumed ahead of its events.  A finite
+    process (trace replay) signals exhaustion by returning events at
+    ``time = inf``, which every horizon-bounded consumer treats as "past the
+    horizon".
     """
-
-    chunk_safe: bool = False
 
     def next_arrival(self) -> ArrivalEvent:
         """Produce the next arrival event."""
         raise NotImplementedError
 
-    def prepare(self, horizon: float) -> None:
-        """Hook called once before generating events up to ``horizon``.
-
-        Batched implementations pre-draw RNG chunks here.  In batched mode
-        the caller is expected to consume :meth:`events` to completion —
-        chunks drawn from *shared* streams are sized to the guaranteed
-        consumption for ``horizon``, which an abandoned iteration would
-        undercut.  The default is a no-op.
-        """
-
     def events(self, horizon: float) -> Iterator[ArrivalEvent]:
         """Lazily yield arrivals with ``time <= horizon``, in order."""
-        self.prepare(horizon)
         while True:
             event = self.next_arrival()
             if event.time > horizon:
@@ -151,100 +133,29 @@ class ArrivalProcess:
 class PeriodicArrival(ArrivalProcess):
     """Generates job releases every ``period`` ms starting at ``phase``.
 
-    Optional release jitter models the small variability of a real-time
-    pipeline's sensor/frame arrival; jitter is bounded to stay strictly below
-    one period so job indices remain in release order.
-
-    Jitter draws come from a *shared* stream (consumed across tasks in task
-    order), so batching them must never over-draw: :meth:`prepare` chunks
-    exactly the draws whose consumption is guaranteed for the horizon —
-    every index whose jittered time cannot exceed the horizon is certainly
-    generated, plus the one event that terminates the iteration — and any
-    draws beyond the chunk fall back to scalar calls on the same generator.
-    The chunk is bitwise identical to the scalar sequence
-    (``rng.uniform(0, j, size=k)`` equals ``k`` successive scalar draws), so
-    release times are unchanged draw-for-draw.
+    Release jitter is a modulator, as on every other kind: a jittered
+    workload wraps this process in :class:`JitteredArrival`.
     """
 
-    def __init__(
-        self,
-        period: float,
-        phase: float = 0.0,
-        jitter: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, period: float, phase: float = 0.0):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        if jitter < 0 or jitter >= period:
-            raise ValueError(f"jitter must be in [0, period), got {jitter}")
         self.period = float(period)
         self.phase = float(phase)
-        self.jitter = float(jitter)
-        self._rng = rng
         self._index = 0
-        self._chunk: List[float] = []
-        self._chunk_pos = 0
-        self.chunk_safe = rng is None or self.jitter == 0.0
 
     def nominal_release(self, index: int) -> float:
-        """Release time of job ``index`` without jitter."""
+        """Release time of job ``index``."""
         return self.phase + index * self.period
 
-    def prepare(self, horizon: float) -> None:
-        """Pre-draw the jitter chunk guaranteed to be consumed by ``horizon``."""
-        if (
-            self.jitter <= 0.0
-            or self._rng is None
-            or self._chunk_pos < len(self._chunk)
-            or not math.isfinite(horizon)
-        ):
-            return
-        # Index i is *certainly* generated while nominal(i) + jitter <=
-        # horizon (its jittered time cannot exceed the horizon), and the
-        # consumer always generates one event past the last certain index
-        # before stopping.  Walk the exact float expression to the first
-        # uncertain index: the estimate is off by at most a step or two.
-        period, phase, jitter = self.period, self.phase, self.jitter
-        first = self._index
-        estimate = int((horizon - jitter - phase) / period) if period > 0 else 0
-        index = max(first, estimate - 2)
-        while phase + index * period + jitter <= horizon:
-            index += 1
-        while index > first and phase + (index - 1) * period + jitter > horizon:
-            index -= 1
-        count = max(index - first + 1, 1)
-        self._chunk = self._rng.uniform(0.0, jitter, size=count).tolist()
-        self._chunk_pos = 0
-
     def next_arrival(self) -> ArrivalEvent:
-        """Produce the next arrival (with jitter applied if configured)."""
         index = self._index
-        base = self.phase + index * self.period
-        offset = 0.0
-        if self.jitter > 0 and self._rng is not None:
-            pos = self._chunk_pos
-            if pos < len(self._chunk):
-                offset = self._chunk[pos]
-                self._chunk_pos = pos + 1
-            else:
-                offset = float(self._rng.uniform(0.0, self.jitter))
         self._index = index + 1
-        return ArrivalEvent(index, base + offset)
+        return ArrivalEvent(index, self.phase + index * self.period)
 
 
 class PoissonArrival(ArrivalProcess):
-    """Memoryless arrival process with a given mean rate (jobs per second).
-
-    When :attr:`chunk_safe` is set (the generator is exclusively owned, as
-    the per-task ``poisson-arrivals[i]`` streams are), inter-arrival gaps are
-    drawn in chunks:
-    ``rng.exponential(scale, size=k)`` is bitwise identical to ``k``
-    successive scalar draws, and over-drawing an exclusive stream is
-    unobservable, so the release times are unchanged draw-for-draw.
-    """
-
-    #: Chunk size for refills after the horizon-sized initial chunk.
-    _REFILL = 256
+    """Memoryless arrival process with a given mean rate (jobs per second)."""
 
     def __init__(self, rate_jps: float, rng: np.random.Generator, start: float = 0.0):
         if rate_jps <= 0:
@@ -253,77 +164,14 @@ class PoissonArrival(ArrivalProcess):
         self._rng = rng
         self._time = float(start)
         self._index = 0
-        self._chunk: List[float] = []
-        self._chunk_pos = 0
-        self._batch = 0
-
-    def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe:
-            self._batch = 0
-            return
-        scale = 1000.0 / self.rate_jps
-        if math.isfinite(horizon) and horizon > self._time:
-            expected = (horizon - self._time) / scale
-            self._batch = int(expected * 1.05) + 64
-        else:
-            self._batch = self._REFILL
 
     def next_arrival(self) -> ArrivalEvent:
         """Draw the next arrival using exponential inter-arrival times."""
-        pos = self._chunk_pos
-        if pos < len(self._chunk):
-            gap_ms = self._chunk[pos]
-            self._chunk_pos = pos + 1
-        elif self._batch:
-            self._chunk = self._rng.exponential(
-                1000.0 / self.rate_jps, size=self._batch
-            ).tolist()
-            self._batch = self._REFILL
-            gap_ms = self._chunk[0]
-            self._chunk_pos = 1
-        else:
-            gap_ms = float(self._rng.exponential(1000.0 / self.rate_jps))
-        time = self._time + gap_ms
+        time = self._time + float(self._rng.exponential(1000.0 / self.rate_jps))
         self._time = time
         index = self._index
         self._index = index + 1
         return ArrivalEvent(index, time)
-
-    def next_times(self, count: int) -> List[float]:
-        """Times of the next ``count`` arrivals, without the per-event objects.
-
-        Consumes the gap stream exactly like ``count`` successive
-        :meth:`next_arrival` calls — same draws, same sequential
-        ``time += gap`` fold — so the produced times are bit-identical.
-        Buffered consumers (the diurnal inverter) use it to skip one
-        method call and one :class:`ArrivalEvent` allocation per event.
-        """
-        times: List[float] = []
-        append = times.append
-        time = self._time
-        scale = 1000.0 / self.rate_jps
-        rng = self._rng
-        while len(times) < count:
-            pos = self._chunk_pos
-            chunk = self._chunk
-            if pos >= len(chunk):
-                if self._batch:
-                    chunk = rng.exponential(scale, size=self._batch).tolist()
-                    self._chunk = chunk
-                    self._batch = self._REFILL
-                    pos = 0
-                else:
-                    time += float(rng.exponential(scale))
-                    append(time)
-                    continue
-            take = min(len(chunk) - pos, count - len(times))
-            for gap_ms in chunk[pos : pos + take]:
-                time += gap_ms
-                append(time)
-            self._chunk_pos = pos + take
-        self._time = time
-        self._index += count
-        return times
 
 
 def _validate_mmpp_phases(rates: Sequence[float], dwells: Sequence[float]) -> None:
@@ -349,15 +197,7 @@ class MmppArrival(ArrivalProcess):
     Phase switches exploit memorylessness: the pending inter-arrival draw is
     discarded at a switch, which is statistically exact for exponential gaps
     and keeps generation deterministic per RNG stream.
-
-    With an exclusively owned stream (:attr:`chunk_safe`) the process
-    pre-draws chunks of *standard* exponentials and applies the per-draw
-    scale as a scalar multiply: ``rng.exponential(s)`` computes exactly
-    ``rng.standard_exponential() * s``, so the interleaved dwell/gap draws
-    stay bitwise identical while the per-draw RNG call cost disappears.
     """
-
-    _REFILL = 256
 
     def __init__(
         self,
@@ -376,54 +216,13 @@ class MmppArrival(ArrivalProcess):
         self._index = 0
         self._phase = 0
         self._dwell_left: Optional[float] = None
-        self._chunk: List[float] = []
-        self._chunk_pos = 0
-        self._batch = 0
-
-    def prepare(self, horizon: float) -> None:
-        if not self.chunk_safe:
-            self._batch = 0
-            return
-        if math.isfinite(horizon) and horizon > self._time:
-            # One draw per arrival plus two per phase switch, at the
-            # time-averaged rates; the estimate only sizes the first chunk.
-            mean_rate = left_sum(self.rates_jps) / len(self.rates_jps)
-            mean_dwell = left_sum(self.dwell_ms) / len(self.dwell_ms)
-            span = horizon - self._time
-            expected = span * mean_rate / 1000.0 + 2.0 * span / mean_dwell
-            self._batch = int(expected * 1.05) + 64
-        else:
-            self._batch = self._REFILL
-
-    def _next_std_exp(self) -> float:
-        """Next standard-exponential draw from the chunk (refilling it)."""
-        pos = self._chunk_pos
-        if pos < len(self._chunk):
-            self._chunk_pos = pos + 1
-            return self._chunk[pos]
-        self._chunk = self._rng.standard_exponential(size=self._batch).tolist()
-        self._batch = self._REFILL
-        self._chunk_pos = 1
-        return self._chunk[0]
 
     def next_arrival(self) -> ArrivalEvent:
-        batched = self._batch or self._chunk_pos < len(self._chunk)
         while True:
             if self._dwell_left is None:
-                if batched:
-                    self._dwell_left = self._next_std_exp() * self.dwell_ms[self._phase]
-                else:
-                    self._dwell_left = float(
-                        self._rng.exponential(self.dwell_ms[self._phase])
-                    )
+                self._dwell_left = float(self._rng.exponential(self.dwell_ms[self._phase]))
             rate = self.rates_jps[self._phase]
-            if rate > 0:
-                if batched:
-                    gap = self._next_std_exp() * (1000.0 / rate)
-                else:
-                    gap = float(self._rng.exponential(1000.0 / rate))
-            else:
-                gap = math.inf
+            gap = float(self._rng.exponential(1000.0 / rate)) if rate > 0 else math.inf
             if gap <= self._dwell_left:
                 self._dwell_left -= gap
                 self._time += gap
@@ -442,8 +241,6 @@ class TraceArrival(ArrivalProcess):
     recorded release the process is exhausted and yields ``inf`` events,
     which horizon-bounded consumers treat as "no more arrivals".
     """
-
-    chunk_safe = True  # replays recorded times; no randomness to perturb
 
     def __init__(self, times_ms: Sequence[float], offset_ms: float = 0.0):
         times = tuple(float(time) for time in times_ms)
@@ -468,11 +265,12 @@ class TraceArrival(ArrivalProcess):
 class JitteredArrival(ArrivalProcess):
     """Bounded-jitter modulator: adds ``uniform(0, jitter_ms)`` per release.
 
-    Wraps any base process.  Successive jittered times are clamped to be
-    non-decreasing (jitter can exceed a stochastic base's inter-arrival gap),
-    so release order always matches index order.  Periodic bases do not take
-    this path — :class:`PeriodicArrival` carries its own (historical,
-    draw-for-draw identical) jitter.
+    Wraps any base process, periodic included.  Successive jittered times
+    are clamped to be non-decreasing (jitter can exceed a stochastic base's
+    inter-arrival gap), so release order always matches index order.  On a
+    plain periodic base :meth:`WorkloadSpec.arrival_for_task` keeps the
+    jitter below one period, so there the clamp can fire only when the
+    jitter is within float rounding of the period.
     """
 
     def __init__(self, base: ArrivalProcess, jitter_ms: float, rng: np.random.Generator):
@@ -482,13 +280,6 @@ class JitteredArrival(ArrivalProcess):
         self.jitter_ms = float(jitter_ms)
         self._rng = rng
         self._last = -math.inf
-
-    def prepare(self, horizon: float) -> None:
-        # The jitter draws themselves cannot be chunked: they come from the
-        # shared jitter stream and the draw count is stochastic (one per
-        # *generated* base event), so no consumption bound exists.  The base
-        # still gets its own chunking chance.
-        self._base.prepare(horizon)
 
     def next_arrival(self) -> ArrivalEvent:
         event = self._base.next_arrival()
@@ -511,151 +302,20 @@ class DiurnalArrival(ArrivalProcess):
     deterministic per seed as its base.
     """
 
-    #: Base events buffered (and Newton-seeded in one numpy pass) per refill.
-    _BUFFER = 512
-
     def __init__(self, base: ArrivalProcess, profile: "DiurnalModulator"):
         self._base = base
         self.profile = profile
         self._last = -math.inf
-        self.chunk_safe = base.chunk_safe
-        self._buffered = False
-        self._resolved: List[float] = []
-        self._pos = 0
-        self._first_index = 0
-        self._tail: Optional[ArrivalEvent] = None
-        # Constants of the inlined crossing scan (see next_arrival), computed
-        # with the exact expressions ``_sin_crossing`` uses so the inlined
-        # predicate stays bitwise identical.  Meaningful for sin profiles
-        # only, which is the only shape the buffered path is gated to.
-        self._angular = 2.0 * math.pi / profile.period_ms
-        self._coeff = profile.amplitude / self._angular
-        self._slack = profile.amplitude * profile.period_ms / math.pi
-
-    def prepare(self, horizon: float) -> None:
-        # The base generates in operational time; events up to the real-time
-        # horizon correspond to base times up to Λ(horizon) (the estimate
-        # only sizes the base's chunks, so float slop is irrelevant).
-        if math.isfinite(horizon):
-            self._base.prepare(self.profile.cumulative(horizon))
-        else:
-            self._base.prepare(horizon)
-        # Buffered vectorized inversion needs a drive-ahead-safe base (the
-        # buffer over-pulls past the consumer) and the Newton sin path: the
-        # numpy pass only produces *candidates*, the per-event crossing scan
-        # (scalar libm) does the inversion.
-        self._buffered = (
-            self.chunk_safe
-            and self.profile.shape == "sin"
-            and 0.0 < self.profile.amplitude <= 0.9
-        )
-
-    def _refill(self) -> None:
-        base = self._base
-        bulk = getattr(base, "next_times", None)
-        if bulk is not None:
-            # Infinite bases with a bulk accessor (Poisson) fill the buffer
-            # without one ArrivalEvent and one method call per base event.
-            self._first_index = base._index
-            times = bulk(self._BUFFER)
-        else:
-            times = []
-            append = times.append
-            first = -1
-            for _ in range(self._BUFFER):
-                event = base.next_arrival()
-                if math.isinf(event.time):
-                    # Base exhausted: hold the terminal event, stop buffering.
-                    self._tail = event
-                    self._buffered = False
-                    break
-                if first < 0:
-                    first = event.index
-                append(event.time)
-            self._first_index = first
-        self._pos = 0
-        if not times:
-            self._resolved = times
-            return
-        candidates = self.profile._sin_newton_candidates(np.asarray(times)).tolist()
-        # Resolve the whole buffer's crossings in one tight loop —
-        # ``_sin_crossing`` inlined with everything hoisted to locals, paid
-        # once per 512 events instead of per ``next_arrival`` call.  Same
-        # expressions, same evaluation order as the method — bitwise
-        # identical (the per-event monotonic clamp stays in next_arrival,
-        # where consumption order is known).
-        coeff = self._coeff
-        angular = self._angular
-        slack = self._slack
-        bisect = self.profile._sin_bisect
-        cos = math.cos
-        nextafter = math.nextafter
-        inf = math.inf
-        resolved = []
-        append = resolved.append
-        for pos, target in enumerate(times):
-            low0 = target - slack
-            if low0 < 0.0:
-                low0 = 0.0
-            high0 = target + 1e-12
-            candidate = candidates[pos]
-            if candidate < low0:
-                candidate = low0
-            elif candidate > high0:
-                candidate = high0
-            time = None
-            if candidate + coeff * (1.0 - cos(angular * candidate)) >= target:
-                h = candidate
-                for _ in range(64):
-                    l = nextafter(h, -inf)
-                    if l + coeff * (1.0 - cos(angular * l)) < target:
-                        if l >= low0:
-                            time = 0.5 * (l + h)
-                        break
-                    h = l
-            else:
-                l = candidate
-                for _ in range(64):
-                    h = nextafter(l, inf)
-                    if h + coeff * (1.0 - cos(angular * h)) >= target:
-                        if l >= low0:
-                            time = 0.5 * (l + h)
-                        break
-                    l = h
-            if time is None:  # pathological bracket: fall back to the reference
-                time = bisect(target)
-            append(time)
-        self._resolved = resolved
 
     def next_arrival(self) -> ArrivalEvent:
-        pos = self._pos
-        resolved = self._resolved
-        if pos >= len(resolved):
-            if self._buffered:
-                self._refill()
-                pos = self._pos
-                resolved = self._resolved
-            if pos >= len(resolved):
-                # Scalar path: buffering off, or the base is exhausted.
-                if self._tail is not None:
-                    event, self._tail = self._tail, None
-                    return event
-                event = self._base.next_arrival()
-                if math.isinf(event.time):
-                    return event
-                # Clamp so a pair of near-coincident base events can never
-                # come back inverted.
-                time = max(self.profile.inverse_cumulative(event.time), self._last)
-                self._last = time
-                return ArrivalEvent(event.index, time)
-        time = resolved[pos]
-        self._pos = pos + 1
-        last = self._last
-        if time < last:
-            time = last
-        else:
-            self._last = time
-        return ArrivalEvent(self._first_index + pos, time)
+        event = self._base.next_arrival()
+        if math.isinf(event.time):
+            return event
+        # Clamp so a pair of near-coincident base events can never come back
+        # inverted.
+        time = max(self.profile.inverse_cumulative(event.time), self._last)
+        self._last = time
+        return ArrivalEvent(event.index, time)
 
 
 # --------------------------------------------------------------------------
@@ -862,10 +522,9 @@ class DiurnalModulator:
     or faster profile the predicate can flip several times within a few
     ulp, and the scan returns the flip nearest its candidate: at amplitude
     0.6 and period 700 ms a few of 4,000 random targets invert differently
-    from bisection, at amplitude 0.9 and period 300 ms a few dozen.  The
-    buffered path of :class:`DiurnalArrival` takes its candidates from
-    numpy's ``cos``/``sin`` and the scalar path from libm, so on such
-    profiles the two paths can also differ from each other.
+    from bisection, at amplitude 0.9 and period 300 ms a few dozen.  Every
+    stream inverts through :meth:`inverse_cumulative`, so a release time
+    depends only on its base time, never on how the stream was driven.
     """
 
     period_ms: float = 1000.0
@@ -991,26 +650,6 @@ class DiurnalModulator:
                 break
         return t
 
-    def _sin_newton_candidates(self, targets: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`_sin_newton` over a batch of targets.
-
-        numpy trig may differ from libm in the last ulp, so a candidate may
-        differ from :meth:`_sin_newton`'s.  ``_sin_crossing`` evaluates the
-        predicate with ``math.cos``, so where it flips once near the root
-        both candidates give the same result.  Where it flips several
-        times, the result depends on the candidate, and the buffered and
-        scalar paths can differ (see the class docstring).
-        """
-        angular = 2.0 * math.pi / self.period_ms
-        coeff = self.amplitude / angular
-        amp = self.amplitude
-        t = targets - coeff * (1.0 - np.cos(angular * targets))
-        np.maximum(t, 0.0, out=t)
-        for _ in range(5):
-            f = t + coeff * (1.0 - np.cos(angular * t)) - targets
-            t -= f / (1.0 + amp * np.sin(angular * t))
-        return t
-
     def _sin_crossing(self, target: float, candidate: float) -> Optional[float]:
         """Inversion from a near-converged candidate.
 
@@ -1074,7 +713,8 @@ class WorkloadSpec:
       one aggregate stream), ``saturated`` (requests always waiting, rates
       ignored), ``mmpp`` (N-phase bursty load), ``trace`` (explicit replay);
     * ``jitter_ms`` — bounded uniform release jitter on any rate-driven base
-      (must stay strictly below every driven period for periodic bases);
+      (must stay strictly below every driven period on a plain periodic
+      base);
     * ``diurnal`` — a :class:`DiurnalModulator` rate profile on any
       rate-driven base.
 
@@ -1270,36 +910,26 @@ class WorkloadSpec:
         phase_ms: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         jitter_rng: Optional[np.random.Generator] = None,
-        exclusive_rng: bool = False,
     ) -> ArrivalProcess:
         """Concrete arrival process for one task-shaped release stream.
 
         ``rng`` feeds the base process's draws (poisson/mmpp gaps);
         ``jitter_rng`` feeds the jitter modulator and defaults to ``rng``
-        (the historical single-generator behaviour).  ``exclusive_rng``
-        asserts that ``rng`` is consumed by this process alone (a dedicated
-        per-task stream), which permits chunked pre-drawing — over-drawing
-        an exclusive stream is unobservable.  ``saturated`` workloads have
-        no arrival process at all (the executor back-to-backs work), so
-        asking for one is an error — callers branch on :attr:`saturated`
-        first.  Randomized processes require their rng; silently running
-        unrandomized would mislabel the scenario.
+        (the historical single-generator behaviour).  ``saturated``
+        workloads have no arrival process at all (the executor
+        back-to-backs work), so asking for one is an error — callers branch
+        on :attr:`saturated` first.  Randomized processes require their rng;
+        silently running unrandomized would mislabel the scenario.  On a
+        plain periodic base the jitter must stay below one period, so job
+        indices remain in release order.
         """
         if jitter_rng is None:
             jitter_rng = rng
-        if self.base.kind == "periodic" and self.diurnal is None:
-            # The historical fast path: PeriodicArrival applies its own
-            # (bounded, draw-for-draw identical) jitter.
-            if self.jitter_ms > 0 and jitter_rng is None:
-                raise ValueError("jittered periodic arrivals need an rng for reproducibility")
-            return PeriodicArrival(
-                period=period_ms, phase=phase_ms, jitter=self.jitter_ms, rng=jitter_rng
-            )
         process = self.base.build(period_ms, phase_ms, rng)
-        if exclusive_rng and self.base.randomized:
-            process.chunk_safe = True
         if self.diurnal is not None:
             process = DiurnalArrival(process, self.diurnal)
+        elif self.base.kind == "periodic" and self.jitter_ms >= period_ms:
+            raise ValueError(f"jitter must be in [0, period), got {self.jitter_ms}")
         if self.jitter_ms > 0:
             if jitter_rng is None:
                 raise ValueError("jittered arrivals need an rng for reproducibility")
@@ -1311,8 +941,10 @@ class ReleaseStream:
     """The one shared release-driving pipeline behind every backend.
 
     Owns the RNG-stream discipline (via :class:`~repro.sim.rng.RngFactory`)
-    and the per-task / aggregate driving loops that DARIS, RTGPU, Clockwork
-    and the batching server previously each hand-rolled:
+    and the per-task / aggregate driving loops of the three serving loops
+    that release work: the DARIS scheduler (which also runs RTGPU), the
+    cluster server (which also runs Clockwork as one GPU) and the batching
+    server.
 
     * randomized base kinds draw per-task from the stream
       ``"{kind}-arrivals[{task_id}]"`` (``poisson-arrivals[i]`` is the
@@ -1322,54 +954,35 @@ class ReleaseStream:
     * aggregate mode (one request stream at a total rate, the batching
       server's shape) draws everything from ``"batching-arrivals"``.
 
-    ``rng`` may be an :class:`RngFactory` (preferred), a bare numpy
-    generator (legacy callers: that one generator feeds every stream), or
-    ``None`` for fully deterministic workloads.
+    ``rng`` is an :class:`RngFactory`, or ``None`` for fully deterministic
+    workloads.
     """
 
     JITTER_STREAM = "release-jitter"
     AGGREGATE_STREAM = "batching-arrivals"
 
-    def __init__(
-        self,
-        workload: Optional[WorkloadSpec],
-        rng: Union[RngFactory, np.random.Generator, None] = None,
-    ):
+    def __init__(self, workload: Optional[WorkloadSpec], rng: Optional[RngFactory] = None):
+        if rng is not None and not isinstance(rng, RngFactory):
+            raise TypeError(f"rng must be an RngFactory or None, got {type(rng).__name__}")
         self.workload = workload if workload is not None else PERIODIC_WORKLOAD
-        self._factory: Optional[RngFactory] = None
-        self._fixed: Optional[np.random.Generator] = None
-        if isinstance(rng, RngFactory):
-            self._factory = rng
-        elif isinstance(rng, np.random.Generator):
-            self._fixed = rng
-        elif rng is not None:
-            raise TypeError(f"rng must be an RngFactory or numpy Generator, got {type(rng).__name__}")
+        self._factory = rng
 
     def _stream(self, name: str) -> Optional[np.random.Generator]:
-        if self._fixed is not None:
-            return self._fixed
-        if self._factory is not None:
-            return self._factory.stream(name)
-        return None
+        return self._factory.stream(name) if self._factory is not None else None
 
     def arrival_for(
         self, task_id: int, period_ms: float, phase_ms: float = 0.0
     ) -> ArrivalProcess:
         """The task's concrete arrival process under the stream discipline."""
         workload = self.workload
+        base_rng = None
         if workload.base.randomized:
             base_rng = self._stream(f"{workload.base.kind}-arrivals[{task_id}]")
-        else:
-            base_rng = self._stream(self.JITTER_STREAM)
         return workload.arrival_for_task(
             period_ms=period_ms,
             phase_ms=phase_ms,
             rng=base_rng,
             jitter_rng=self._stream(self.JITTER_STREAM),
-            # Factory mode gives each randomized base its own per-task
-            # stream; legacy fixed-generator mode shares one generator with
-            # everything, so chunked pre-drawing is only safe in the former.
-            exclusive_rng=self._factory is not None,
         )
 
     def drive(
