@@ -3,11 +3,10 @@
 Every module declares an :class:`ExperimentSpec` (its scenario grid plus row
 aggregator) in the shared registry; the shared engine executes any spec with
 parallel fan-out, ``--seeds N`` replication (mean / stdev / 95 %-CI columns)
-and a disk-backed result cache; the sharded sweep driver
-(:mod:`repro.experiments.sweep`) partitions the same grids across machines
-by cache-key range with append-only, resumable per-shard row stores.
-``python -m repro.experiments`` is the CLI front end
-(``list`` / ``run`` / ``cache`` / ``sweep plan|run|status|merge``).
+and a disk-backed result cache; :func:`run_shard` spreads the same grids
+across machines by cache-key range, each shard filling the cache with its
+own scenarios.  ``python -m repro.experiments`` is the CLI front end
+(``list`` / ``run [--shard I/N]`` / ``dse`` / ``cache``).
 
 Run an experiment with ``run_experiment(name, params=...)`` or the CLI
 (``python -m repro.experiments run <name>``).  ``quick=True`` (the default,
@@ -43,11 +42,14 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.engine import (
     ExpandedExperiment,
     ExperimentReport,
+    ShardReport,
     expand_experiment,
     rows_for_expanded,
     run_cached_scenarios,
     run_experiment,
     run_experiments,
+    run_shard,
+    shard_for_key,
 )
 from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
 from repro.experiments.registry import (
@@ -61,19 +63,6 @@ from repro.experiments.registry import (
     register,
 )
 from repro.experiments.runner import ScenarioResult, run_daris_scenario
-from repro.experiments.sweep import (
-    ShardRunReport,
-    SweepError,
-    SweepGridMismatch,
-    SweepIncomplete,
-    SweepMergeReport,
-    build_sweep_grid,
-    merge_sweep,
-    plan_sweep,
-    run_sweep_shard,
-    shard_for_key,
-    sweep_status,
-)
 
 __all__ = [
     "BuildContext",
@@ -85,18 +74,11 @@ __all__ = [
     "RowContext",
     "ScenarioRequest",
     "ScenarioResult",
-    "ShardRunReport",
-    "SweepError",
-    "SweepGridMismatch",
-    "SweepIncomplete",
-    "SweepMergeReport",
+    "ShardReport",
     "all_experiments",
-    "build_sweep_grid",
     "expand_experiment",
     "get_experiment",
     "load_all_experiments",
-    "merge_sweep",
-    "plan_sweep",
     "register",
     "rows_for_expanded",
     "run_cached_scenarios",
@@ -104,7 +86,6 @@ __all__ = [
     "run_experiment",
     "run_experiments",
     "run_scenarios_parallel",
-    "run_sweep_shard",
+    "run_shard",
     "shard_for_key",
-    "sweep_status",
 ]

@@ -11,7 +11,7 @@ upper baseline, plus bursty (two-phase MMPP) and diurnal (sinusoidally
 rate-modulated Poisson) columns at the highest load level.
 
 Every cell is an ordinary :class:`ScenarioRequest`, so the whole grid is
-cacheable, seed-replicable (``--seeds N`` CIs) and shardable (``sweep``).
+cacheable, seed-replicable (``--seeds N`` CIs) and shardable (``run --shard``).
 
 Parameters: ``--model`` restricts the grid to one zoo model, ``--scheduler``
 to one backend and ``--workload`` to one named workload column (the CI smoke

@@ -20,10 +20,15 @@ request field, so no reader needs the request's fingerprint back.  Older
 entries also carry a ``"fingerprint"`` object, which no reader looks at, so
 both layouts mix in one cache under the same schema.
 
-:meth:`ResultCache.get` is the one read: ``run``, ``dse``, ``sweep run``
-and ``sweep merge`` all reach the cache through it (by way of
+:meth:`ResultCache.get` is the one read: ``run``, ``run --shard`` and
+``dse`` all reach the cache through it (by way of
 :func:`repro.experiments.engine.lookup`), and each call counts one hit or
 one miss.  A damaged entry is a miss, quarantined aside.
+
+Because an entry is addressed by its key and written atomically, the
+cache is also the commit layer of a sharded run: shards that each fill
+their own directory merge by copying the directories into one, and an
+entry found in two directories holds the same result in both.
 
 Traced requests (Figure 9) are cached like any other: the result's stage
 and job records are stored by column next to its metrics, and an untraced
@@ -85,16 +90,6 @@ class ResultCache:
         return self.cache_dir / key[:2] / f"{key}.json"
 
     # ---------------------------------------------------------------- access
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry with ``key`` exists on disk.
-
-        A pure ``stat`` — nothing is read or deserialized and the hit/miss
-        counters are untouched, so sweep planners can probe huge grids
-        cheaply.  (The entry may still turn out corrupt on :meth:`get`, which
-        then counts a miss and re-simulates.)
-        """
-        return self.path_for(key).is_file()
 
     def get(self, request: ScenarioRequest) -> Optional[ScenarioResult]:
         """Return the cached result for ``request``, or ``None`` on a miss.

@@ -11,10 +11,8 @@ Usage::
     python -m repro.experiments run fig9 --quick --set daris.mret_window=8 --set gpu.sm_count=40
     python -m repro.experiments dse --quick --seeds 3 --cache-dir .cache
     python -m repro.experiments cache --cache-dir .cache [--prune-max-entries N] [--clear]
-    python -m repro.experiments sweep plan --all --shards 8 --seeds 5
-    python -m repro.experiments sweep run --all --shard 3/8 --seeds 5
-    python -m repro.experiments sweep status --sweep-dir .cache/sweep
-    python -m repro.experiments sweep merge --all --seeds 5
+    python -m repro.experiments run --all --seeds 5 --shard 3/8 --cache-dir shard3
+    python -m repro.experiments run --all --seeds 5 --cache-dir merged --expect-cached
 
 ``run`` executes one or more registered experiments through the shared
 engine as one plan: every selected grid is expanded and replicated across
@@ -30,7 +28,7 @@ usage error.
 
 ``--expect-cached`` turns the run into an assertion that *zero* scenarios
 had to be simulated — CI uses it to verify that a repeated invocation is
-served entirely from cache.
+served entirely from cache.  It cannot be combined with ``--no-cache``.
 
 To profile a run, run it serially (worker processes are invisible to the
 parent's profiler) under the standard-library profiler, which writes its
@@ -38,11 +36,12 @@ table to a file and leaves standard output to the run::
 
     python -m cProfile -o run.prof -m repro.experiments run fig4_6 --quick --no-cache --jobs 1
 
-``sweep`` is the multi-machine face of the same grids: ``plan`` sizes the
-shards without simulating, ``run --shard i/N`` executes (or resumes) one
-deterministic cache-key-range shard, ``status`` reports per-shard progress
-from the row stores alone, and ``merge`` folds the stores back into rows
-byte-identical to a single-machine ``run``.
+``run --shard I/N`` spreads the same plan over machines: it only fills the
+cache with the distinct scenarios whose cache key falls in shard ``I`` of
+``N`` and prints one summary line instead of rows.  Running it again
+resumes a killed shard; copying the shards' cache directories into one
+merges them, and a plain ``run`` over the merged cache prints the rows,
+byte-identical to an unsharded run.
 """
 
 from __future__ import annotations
@@ -54,30 +53,23 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_replicated_table, format_table
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import ExperimentReport, run_experiment, run_experiments
+from repro.experiments.engine import (
+    ExperimentReport,
+    run_experiment,
+    run_experiments,
+    run_shard,
+)
 from repro.experiments.registry import (
     ExperimentSpec,
     all_experiments,
     get_experiment,
     load_all_experiments,
 )
-from repro.experiments.sweep import (
-    SweepError,
-    SweepGridMismatch,
-    merge_sweep,
-    plan_sweep,
-    run_sweep_shard,
-    sweep_status,
-)
 
 EXIT_OK = 0
 EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_NOT_CACHED = 3
 EXIT_NO_CACHE = 4
-#: The sweep is not done yet — polling again later can succeed.
-EXIT_SWEEP_INCOMPLETE = 5
-#: The sweep directory belongs to a different grid — retrying cannot help.
-EXIT_SWEEP_MISMATCH = 6
 
 
 def _positive_int(text: str) -> int:
@@ -171,8 +163,8 @@ def _config_override(text: str) -> str:
     and out-of-range values (a negative SM count, a zero batching cap) as a
     clean usage error listing the axis vocabulary — not a traceback out of
     the engine mid-sweep.  The canonical string form (aliases resolved) is
-    what flows into the spec params, so the sweep manifest and the cache see
-    one spelling per axis point.
+    what flows into the spec params, so the cache sees one spelling per
+    axis point.
     """
     from repro.experiments.scenarios import parse_config_override
 
@@ -199,7 +191,7 @@ def _shard_spec(text: str) -> Tuple[int, int]:
 
 
 def _add_selection_arguments(parser: argparse.ArgumentParser) -> None:
-    """Experiment-selection and grid arguments shared by run and sweep."""
+    """Experiment-selection and grid arguments of ``run``."""
     parser.add_argument("experiments", nargs="*", help="registry names (e.g. fig4_6 sota)")
     parser.add_argument("--all", action="store_true", help="select every registered experiment")
     grid = parser.add_mutually_exclusive_group()
@@ -296,15 +288,26 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".cache/experiments",
         help="result cache directory (default .cache/experiments)",
     )
-    run_parser.add_argument(
+    caching = run_parser.add_mutually_exclusive_group()
+    caching.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache entirely"
     )
-    run_parser.add_argument(
+    caching.add_argument(
         "--expect-cached",
         action="store_true",
         help=f"exit {EXIT_NOT_CACHED} if any scenario had to be simulated",
     )
     run_parser.add_argument("--json", action="store_true", help="emit rows as JSON lines")
+    run_parser.add_argument(
+        "--shard",
+        type=_shard_spec,
+        default=None,
+        metavar="I/N",
+        help=(
+            "only fill the cache with the scenarios whose cache key falls in"
+            " shard I of N (e.g. 0/4) and print a summary line, no rows"
+        ),
+    )
 
     dse_parser = subparsers.add_parser(
         "dse",
@@ -356,10 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".cache/experiments",
         help="result cache directory (default .cache/experiments)",
     )
-    dse_parser.add_argument(
+    caching = dse_parser.add_mutually_exclusive_group()
+    caching.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache entirely"
     )
-    dse_parser.add_argument(
+    caching.add_argument(
         "--expect-cached",
         action="store_true",
         help=f"exit {EXIT_NOT_CACHED} if any scenario had to be simulated",
@@ -416,70 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drop entries older than N days",
     )
 
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="sharded, resumable sweeps across machines"
-    )
-    sweep_sub = sweep_parser.add_subparsers(dest="sweep_command", required=True)
-
-    plan_parser = sweep_sub.add_parser(
-        "plan", help="size every shard (committed / cached / to simulate) without simulating"
-    )
-    _add_selection_arguments(plan_parser)
-    plan_parser.add_argument(
-        "--shards", type=_positive_int, required=True, help="total shard count N"
-    )
-
-    shard_run_parser = sweep_sub.add_parser(
-        "run", help="execute (or resume) one cache-key-range shard of the grid"
-    )
-    _add_selection_arguments(shard_run_parser)
-    shard_run_parser.add_argument(
-        "--shard",
-        type=_shard_spec,
-        required=True,
-        metavar="I/N",
-        help="this machine's shard, e.g. 0/4 (0-based index out of N)",
-    )
-    shard_run_parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes (default: one per CPU; 1 = serial)",
-    )
-
-    status_parser = sweep_sub.add_parser(
-        "status", help="per-shard progress, read from the row stores alone"
-    )
-
-    merge_parser = sweep_sub.add_parser(
-        "merge", help="fold shard row stores into the usual report rows"
-    )
-    _add_selection_arguments(merge_parser)
-    merge_parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for missing scenarios (default: one per CPU)",
-    )
-    merge_parser.add_argument(
-        "--simulate-missing",
-        action="store_true",
-        help="simulate units no shard committed instead of failing",
-    )
-    merge_parser.add_argument("--json", action="store_true", help="emit rows as JSON lines")
-
-    for sweep_command in (plan_parser, shard_run_parser, status_parser, merge_parser):
-        sweep_command.add_argument(
-            "--sweep-dir",
-            default=".cache/sweep",
-            help="shard row-store directory (default .cache/sweep)",
-        )
-        if sweep_command is not status_parser:
-            sweep_command.add_argument(
-                "--cache-dir",
-                default=".cache/experiments",
-                help="shared result cache directory (default .cache/experiments)",
-            )
     return parser
 
 
@@ -631,7 +571,7 @@ def _print_report(report: ExperimentReport, as_json: bool) -> None:
 
 
 def _select_specs(args: argparse.Namespace) -> Tuple[Optional[List[ExperimentSpec]], int]:
-    """Resolve the run/sweep experiment selection; ``(None, exit_code)`` on error."""
+    """Resolve the run experiment selection; ``(None, exit_code)`` on error."""
     load_all_experiments()
     if args.all and args.experiments:
         print("pass either experiment names or --all, not both", file=sys.stderr)
@@ -675,13 +615,42 @@ def _warn_unknown_params(specs: Sequence[ExperimentSpec], params: Optional[dict]
             )
 
 
+def _expect_cached(args: argparse.Namespace, simulated: int) -> int:
+    """The exit code of a run that simulated ``simulated`` scenarios."""
+    if args.expect_cached and simulated:
+        print(
+            f"--expect-cached: {simulated} scenario(s) had to be simulated",
+            file=sys.stderr,
+        )
+        return EXIT_NOT_CACHED
+    return EXIT_OK
+
+
 def _command_run(args: argparse.Namespace) -> int:
     specs, exit_code = _select_specs(args)
     if specs is None:
         return exit_code
-    cache: Optional[ResultCache] = None if args.no_cache else ResultCache(args.cache_dir)
     params = _params_for(args)
     _warn_unknown_params(specs, params)
+    if args.shard is not None:
+        shard_index, num_shards = args.shard
+        shard = run_shard(
+            specs,
+            shard_index,
+            num_shards,
+            quick=args.quick,
+            seeds=args.seeds,
+            base_seed=args.base_seed,
+            processes=args.jobs,
+            cache=args.cache_dir,
+            params=params,
+        )
+        print(
+            f"shard {shard_index}/{num_shards}: {shard.owned} of {shard.total}"
+            f" scenario(s); {shard.from_cache} from cache, {shard.simulated} simulated"
+        )
+        return _expect_cached(args, shard.simulated)
+    cache: Optional[ResultCache] = None if args.no_cache else ResultCache(args.cache_dir)
     reports = run_experiments(
         specs,
         quick=args.quick,
@@ -694,20 +663,14 @@ def _command_run(args: argparse.Namespace) -> int:
     for report in reports:
         _print_report(report, args.json)
 
-    total_misses = sum(report.cache_misses for report in reports)
+    simulated = sum(report.simulated for report in reports)
     if not args.json:
         print(
             f"total: {len(specs)} experiment(s),"
             f" {sum(report.cache_hits for report in reports)} scenario(s) from cache,"
-            f" {sum(report.simulated for report in reports)} simulated"
+            f" {simulated} simulated"
         )
-    if args.expect_cached and (total_misses > 0 or args.no_cache):
-        print(
-            f"--expect-cached: {total_misses} scenario(s) had to be simulated",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_CACHED
-    return EXIT_OK
+    return _expect_cached(args, simulated)
 
 
 def _command_dse(args: argparse.Namespace) -> int:
@@ -800,13 +763,7 @@ def _command_dse(args: argparse.Namespace) -> int:
         print(f"scenarios: {report.cache_hits} cached, {report.simulated} simulated")
     if args.heatmap_csv:
         print(f"heatmap CSV written to {args.heatmap_csv}", file=sys.stderr)
-    if args.expect_cached and (report.cache_misses > 0 or args.no_cache):
-        print(
-            f"--expect-cached: {report.cache_misses} scenario(s) had to be simulated",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_CACHED
-    return EXIT_OK
+    return _expect_cached(args, report.simulated)
 
 
 def _command_cache(args: argparse.Namespace) -> int:
@@ -831,167 +788,19 @@ def _command_cache(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _command_sweep_plan(args: argparse.Namespace) -> int:
-    specs, exit_code = _select_specs(args)
-    if specs is None:
-        return exit_code
-    params = _params_for(args)
-    _warn_unknown_params(specs, params)
-    try:
-        grid, entries = plan_sweep(
-            specs,
-            num_shards=args.shards,
-            quick=args.quick,
-            seeds=args.seeds,
-            base_seed=args.base_seed,
-            sweep_dir=args.sweep_dir,
-            cache=args.cache_dir,
-            params=params,
-        )
-    except SweepGridMismatch as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_MISMATCH
-    except SweepError as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_INCOMPLETE
-    print(
-        f"sweep plan: {len(grid.unique_units())} unit(s) across {args.shards} shard(s),"
-        f" grid {grid.fingerprint[:12]}"
-    )
-    for entry in entries:
-        print(
-            f"shard {entry.shard_index}/{args.shards}: {entry.units} unit(s) —"
-            f" {entry.committed} committed, {entry.cached} cached,"
-            f" {entry.misses} to simulate"
-        )
-    return EXIT_OK
-
-
-def _command_sweep_run(args: argparse.Namespace) -> int:
-    specs, exit_code = _select_specs(args)
-    if specs is None:
-        return exit_code
-    shard_index, num_shards = args.shard
-    params = _params_for(args)
-    _warn_unknown_params(specs, params)
-    try:
-        report = run_sweep_shard(
-            specs,
-            shard_index=shard_index,
-            num_shards=num_shards,
-            quick=args.quick,
-            seeds=args.seeds,
-            base_seed=args.base_seed,
-            processes=args.jobs,
-            sweep_dir=args.sweep_dir,
-            cache=args.cache_dir,
-            params=params,
-        )
-    except SweepGridMismatch as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_MISMATCH
-    except SweepError as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_INCOMPLETE
-    print(
-        f"shard {report.shard_index}/{report.num_shards}:"
-        f" {report.shard_units}/{report.total_units} unit(s);"
-        f" {report.already_committed} already committed,"
-        f" {report.from_cache} served from cache, {report.simulated} simulated"
-    )
-    return EXIT_OK
-
-
-def _command_sweep_status(args: argparse.Namespace) -> int:
-    statuses = sweep_status(args.sweep_dir)
-    if not statuses:
-        print(f"no shard stores under {args.sweep_dir}", file=sys.stderr)
-        return EXIT_SWEEP_INCOMPLETE
-    fingerprints = {status.grid_fingerprint for status in statuses}
-    complete = 0
-    for status in statuses:
-        if status.complete:
-            state = "complete"
-        elif not status.manifest_ok:
-            state = "incomplete: manifest unreadable"
-        else:
-            state = "incomplete"
-        complete += status.complete
-        print(
-            f"shard {status.shard_index}/{status.num_shards}:"
-            f" {status.committed}/{status.num_units} committed ({state})"
-        )
-    if len(fingerprints) > 1:
-        print(
-            f"warning: {len(fingerprints)} different grids share this sweep dir",
-            file=sys.stderr,
-        )
-    # A shard whose machine never started leaves no store at all; every
-    # manifest records the sweep's shard count, so its absence is visible.
-    missing_stores = 0
-    for fingerprint in fingerprints:
-        group = [status for status in statuses if status.grid_fingerprint == fingerprint]
-        expected = max(status.num_shards for status in group)
-        missing_stores += max(0, expected - len(group))
-    if missing_stores:
-        print(f"{missing_stores} shard store(s) not started yet", file=sys.stderr)
-    print(f"{complete}/{len(statuses)} shard store(s) complete")
-    return (
-        EXIT_OK
-        if complete == len(statuses) and not missing_stores
-        else EXIT_SWEEP_INCOMPLETE
-    )
-
-
-def _command_sweep_merge(args: argparse.Namespace) -> int:
-    specs, exit_code = _select_specs(args)
-    if specs is None:
-        return exit_code
-    params = _params_for(args)
-    _warn_unknown_params(specs, params)
-    try:
-        merged = merge_sweep(
-            specs,
-            quick=args.quick,
-            seeds=args.seeds,
-            base_seed=args.base_seed,
-            sweep_dir=args.sweep_dir,
-            cache=args.cache_dir,
-            params=params,
-            processes=args.jobs,
-            simulate_missing=args.simulate_missing,
-        )
-    except SweepGridMismatch as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_MISMATCH
-    except SweepError as error:  # includes SweepIncomplete
-        print(str(error), file=sys.stderr)
-        return EXIT_SWEEP_INCOMPLETE
-    for report in merged.reports:
-        _print_report(report, args.json)
-    if not args.json:
-        print(
-            f"merge: {merged.from_store} unit(s) from shard stores,"
-            f" {merged.from_cache} from cache, {merged.simulated} simulated"
-        )
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(list(argv) if argv is not None else None)
+    parser = _build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
+    if args.command == "run" and args.shard is not None and (args.no_cache or args.json):
+        parser.error(
+            "run --shard fills the cache and prints no rows;"
+            " it takes neither --no-cache nor --json"
+        )
     if args.command == "list":
         return _command_list(args)
     if args.command == "run":
         return _command_run(args)
     if args.command == "dse":
         return _command_dse(args)
-    if args.command == "sweep":
-        handlers = {
-            "plan": _command_sweep_plan,
-            "run": _command_sweep_run,
-            "status": _command_sweep_status,
-            "merge": _command_sweep_merge,
-        }
-        return handlers[args.sweep_command](args)
     return _command_cache(args)

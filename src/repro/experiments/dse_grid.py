@@ -7,7 +7,7 @@ oversubscription, Clockwork's admission slack — against GPU hardware points
 (SM count), under one fixed scenario (ResNet50, Poisson arrivals at 1.5x
 the batching baseline).  Every cell is an ordinary
 :class:`ScenarioRequest`, so the whole design grid is cacheable,
-seed-replicable (``--seeds N`` CIs) and shardable (``sweep``) exactly like
+seed-replicable (``--seeds N`` CIs) and shardable (``run --shard``) exactly like
 every other experiment.
 
 The rows are heatmap-ready (one row per design point with its axis settings

@@ -20,8 +20,14 @@ One code path executes every registered experiment, one spec
    modules.
 
 ``lookup`` and ``simulate`` are the only place a request is served or
-simulated: :func:`run_cached_scenarios` and :mod:`repro.experiments.sweep`
-call them too.
+simulated: :func:`run_cached_scenarios` and :func:`run_shard` call them too.
+
+:func:`run_shard` spreads one plan over machines.  Each distinct request
+belongs to one of ``N`` shards by its cache key (:func:`shard_for_key`), and
+a shard only fills the cache with the results it owns.  Cache entries are
+content-addressed and written atomically, so a killed shard resumes by
+running again, shards merge by copying their cache directories into one,
+and the rows come from an ordinary run over the merged cache.
 """
 
 from __future__ import annotations
@@ -149,10 +155,9 @@ def _resolve_cache(cache: Union[ResultCache, str, None]) -> Optional[ResultCache
 class ExpandedExperiment:
     """One spec's flat request grid, crossed with the seed replication axis.
 
-    The expansion step of :func:`run_experiment`, reified so external drivers
-    (the sharded sweep in :mod:`repro.experiments.sweep`) can enumerate the
-    exact same grid — same requests, same seed-major order — without running
-    anything.
+    The expansion step of :func:`run_experiment`, reified so other drivers
+    (:func:`run_shard`) can enumerate the exact same grid — same requests,
+    same seed-major order — without running anything.
 
     Attributes:
         spec: the expanded experiment.
@@ -201,8 +206,8 @@ def expand_experiment(
     if override_specs:
         # Config axes are applied here — after the spec built its grid — so
         # every experiment gets `--set target.field=value` support without
-        # knowing about it, and the sharded sweep (which re-expands the same
-        # grid from the manifest's params) sees the exact same requests.
+        # knowing about it, and every shard of a plan sees the exact same
+        # requests.
         from repro.experiments.scenarios import (
             apply_config_overrides,
             parse_config_overrides,
@@ -258,9 +263,9 @@ def rows_for_expanded(
 
     The aggregation step of :func:`run_experiment`, shared with external
     drivers: ``flat_results`` must be in the grid's seed-major request order
-    (regardless of where each result came from — simulator, cache, or a
-    sweep's row store), and the returned rows are then identical to a direct
-    ``run_experiment`` of the same grid.
+    (regardless of where each result came from — simulator or cache), and
+    the returned rows are then identical to a direct ``run_experiment`` of
+    the same grid.
     """
     rows_by_seed: List[List[Row]] = []
     width = expanded.requests_per_seed
@@ -466,3 +471,90 @@ def run_cached_scenarios(
     missed = [request for request, result in zip(requests, cached) if result is None]
     fresh = iter(simulate(missed, processes, result_cache))
     return [result if result is not None else next(fresh) for result in cached]
+
+
+#: Hex digits of the cache key used for range bucketing.  16**8 ≈ 4.3e9
+#: buckets keeps shard boundaries far finer than any realistic shard count
+#: while staying in exact integer arithmetic.
+KEY_PREFIX_LEN = 8
+
+
+def shard_for_key(key: str, num_shards: int, prefix_len: int = KEY_PREFIX_LEN) -> int:
+    """Deterministic shard of a cache key: contiguous hex-prefix ranges.
+
+    The first ``prefix_len`` hex digits of ``key``, read as an integer
+    ``p``, select shard ``p * num_shards // 16**prefix_len`` — i.e. the key
+    space ``[0, 16**prefix_len)`` is cut into ``num_shards`` contiguous,
+    near-equal ranges.  SHA-256 keys are uniform, so shard sizes are
+    balanced to within sampling noise.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    prefix = int(key[:prefix_len], 16)
+    return prefix * num_shards // (16 ** prefix_len)
+
+
+@dataclass(frozen=True)
+class ShardReport:
+    """What one :func:`run_shard` call did.
+
+    Attributes:
+        total: distinct scenarios (cache keys) of the whole plan.
+        owned: those whose key falls in this shard.
+        from_cache: owned scenarios the cache already held.
+        simulated: owned scenarios this call simulated.
+    """
+
+    total: int
+    owned: int
+    from_cache: int
+    simulated: int
+
+
+def run_shard(
+    specs: Sequence[Union[ExperimentSpec, str]],
+    shard_index: int,
+    num_shards: int,
+    quick: bool = True,
+    seeds: int = 1,
+    base_seed: int = 1,
+    processes: Optional[int] = None,
+    cache: Union[ResultCache, str] = ".cache/experiments",
+    params: Optional[Mapping[str, object]] = None,
+) -> ShardReport:
+    """Fill the cache with the scenarios of one key-range shard of a plan.
+
+    The plan expands exactly as in :func:`run_experiments`.  Of its distinct
+    requests, the shard owns those whose cache key falls in shard
+    ``shard_index`` of ``num_shards`` (:func:`shard_for_key`); it reads them
+    through :func:`lookup` and simulates the misses through
+    :func:`simulate`, which puts each result in the cache as it streams in.
+    Running the same call again resumes whatever a killed run left undone.
+    """
+    if not 0 <= shard_index < num_shards:
+        raise ValueError("shard_index must be within [0, num_shards)")
+    result_cache = _resolve_cache(cache)
+    distinct: Dict[str, ScenarioRequest] = {}
+    for spec in specs:
+        expanded = expand_experiment(
+            spec, quick=quick, seeds=seeds, base_seed=base_seed, params=params
+        )
+        for request in expanded.requests:
+            distinct.setdefault(request.cache_key(), request)
+    owned = [
+        request
+        for key, request in distinct.items()
+        if shard_for_key(key, num_shards) == shard_index
+    ]
+    misses = [
+        request
+        for request, result in zip(owned, lookup(owned, result_cache))
+        if result is None
+    ]
+    simulate(misses, processes, result_cache)
+    return ShardReport(
+        total=len(distinct),
+        owned=len(owned),
+        from_cache=len(owned) - len(misses),
+        simulated=len(misses),
+    )

@@ -277,7 +277,7 @@ class GpuEngine:
         kernel.state = KernelState.DISPATCHING
         kernel.dispatch_ready_time = ready_at
         # Direct push of a fire-and-forget dispatch event (ready_at >= now by
-        # construction, so schedule_callback's past-time guard is vacuous).
+        # construction, so it needs no past-time guard).
         heappush(
             self._heap,
             ((ready_at, 0, next_sequence()), lambda _sim, k=kernel: self._kernel_ready(k)),

@@ -6,19 +6,20 @@ milliseconds) and the task periods (tens of milliseconds) in a comfortable
 numeric range.
 
 Cancellation is lazy (cancelled events stay in the heap and are skipped when
-popped), but the simulator counts live versus cancelled events and compacts
-the heap when cancelled entries dominate: the GPU engine cancels and
-reschedules its completion event on every replan, which would otherwise grow
-the heap linearly with the number of replans.
+popped), and the simulator counts live versus cancelled events and compacts
+the heap when cancelled entries dominate.  Nothing in the package cancels an
+event, though: the GPU engine pushes bare completion callbacks straight into
+the heap and tags each with a generation token, so a completion that a later
+replan superseded fires as a no-op (see :mod:`repro.gpu.engine`).
 
 Heap entries are ``(key, payload)`` pairs where ``key`` is the usual
 ``(time, priority, seq)`` tuple and ``payload`` is either a full
 :class:`Event` (cancellable, labelled, handle-backed) or a bare callback.
-Fire-and-forget paths (:meth:`Simulator.schedule_callback`,
-:meth:`Simulator.schedule_batch`) use the bare form: no ``Event`` object is
-allocated at all, which matters because dispatch/release scheduling is one of
-the hottest allocation sites of a scenario run.  Keys draw sequence numbers
-from the shared event counter, so the deterministic total order is unchanged.
+Fire-and-forget paths (:meth:`Simulator.schedule_batch` and the GPU engine's
+direct pushes) use the bare form: no ``Event`` object is allocated at all,
+which matters because dispatch/release scheduling is one of the hottest
+allocation sites of a scenario run.  Keys draw sequence numbers from the
+shared event counter, so the deterministic total order is unchanged.
 """
 
 from __future__ import annotations
@@ -98,28 +99,6 @@ class Simulator:
         event.in_heap = True
         heapq.heappush(self._heap, (event._key, event))
         return EventHandle(event, self)
-
-    def schedule_callback(
-        self,
-        time: float,
-        callback: Callable[["Simulator"], None],
-        label: str = "",
-    ) -> None:
-        """Schedule a fire-and-forget callback (no :class:`EventHandle`).
-
-        Identical to :meth:`schedule_at` except that no handle — and no
-        :class:`Event` object — is created: the callback itself is the heap
-        payload.  Use it on hot paths where the caller never cancels the
-        event.  ``label`` is accepted for signature parity but not stored.
-        """
-        now = self.now
-        if time < now:
-            if time < now - 1e-9:
-                raise SimulationError(
-                    f"cannot schedule event at {time:.6f} ms, current time is {now:.6f} ms"
-                )
-            time = now
-        heapq.heappush(self._heap, ((time, 0, next_sequence()), callback))
 
     def schedule_after(
         self,

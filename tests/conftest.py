@@ -73,8 +73,8 @@ def executed_requests(monkeypatch):
     """Every request the scenario runner executes, in order.
 
     Wraps the runner's worker entry point, so it counts the simulations of
-    every engine path — ``run``, ``sweep run`` and ``sweep merge`` alike —
-    as long as they run serially (``processes=1``), in this process.
+    every engine path — ``run``, ``run --shard`` and ``dse`` alike — as
+    long as they run serially (``processes=1``), in this process.
     """
     from repro.experiments import parallel
 

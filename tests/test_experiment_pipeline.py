@@ -281,13 +281,13 @@ def test_cache_directory_is_created_lazily(tmp_path, resnet18):
     taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
     request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
     assert cache.get(request) is None
-    assert not cache.contains(cache.key_for(request))
+    assert not cache.path_for(cache.key_for(request)).is_file()
     assert len(cache) == 0
     assert not cache_dir.exists()  # still pure inspection
     result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
     assert cache.put(request, result)
     assert cache_dir.is_dir() and cache.exists()
-    assert cache.contains(cache.key_for(request))
+    assert cache.path_for(cache.key_for(request)).is_file()
     assert len(cache) == 1
 
 
@@ -654,7 +654,7 @@ def test_cli_rejects_unknown_scheduler_backend():
     naming the registered backends, not a KeyError traceback mid-run."""
     for argv in (
         ["run", "backends", "--no-cache", "--scheduler", "nosuch"],
-        ["sweep", "plan", "backends", "--shards", "2", "--scheduler", "nosuch"],
+        ["run", "backends", "--shard", "0/2", "--scheduler", "nosuch"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -666,7 +666,7 @@ def test_cli_rejects_unknown_workload_label(capsys):
     listing the named workload vocabulary, not a KeyError traceback mid-run."""
     for argv in (
         ["run", "backends", "--no-cache", "--workload", "nosuch"],
-        ["sweep", "plan", "backends", "--shards", "2", "--workload", "nosuch"],
+        ["run", "backends", "--shard", "0/2", "--workload", "nosuch"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -699,7 +699,7 @@ def test_cli_rejects_invalid_counts():
         ["run", "fig2", "--no-cache", "--jobs", "0"],
         ["run", "fig2", "--no-cache", "--jobs", "-2"],
         ["run", "fig2", "--no-cache", "--base-seed", "-1"],
-        ["sweep", "plan", "fig2", "--shards", "0"],
+        ["run", "fig2", "--shard", "0/0"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -766,3 +766,31 @@ def test_cli_expect_cached_covers_traced_and_table1_scenarios(tmp_path, capsys):
     cold = ["run", "fig9", "--quick", "--jobs", "1", "--cache-dir", str(tmp_path / "cold")]
     assert cli.main(cold + ["--expect-cached"]) == cli.EXIT_NOT_CACHED
     capsys.readouterr()
+
+
+def test_cli_expect_cached_excludes_no_cache(tmp_path, executed_requests):
+    """Regression: `--no-cache --expect-cached` simulated the whole grid and
+    then failed, claiming 0 scenarios had been simulated.  On `run` and `dse`
+    the pair is a usage error now, raised before anything runs."""
+    for argv in (
+        ["run", "fig8", "--quick", "--jobs", "1", "--no-cache", "--expect-cached"],
+        ["dse", "--quick", "--jobs", "1", "--no-cache", "--expect-cached"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--cache-dir", str(tmp_path / "cache")])
+        assert excinfo.value.code == 2, argv
+    assert executed_requests == []
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cli_expect_cached_reports_the_simulated_count(tmp_path, capsys):
+    """Regression: on a cold cache `run sota --seeds 2 --expect-cached` said 12
+    scenarios had to be simulated, counting cache misses; the three
+    seed-insensitive baselines share one simulation across both replicates,
+    so 9 were simulated, as the total line says."""
+    argv = ["run", "sota", "--quick", "--seeds", "2", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"), "--expect-cached"]
+    assert cli.main(argv) == cli.EXIT_NOT_CACHED
+    captured = capsys.readouterr()
+    assert "total: 1 experiment(s), 0 scenario(s) from cache, 9 simulated" in captured.out
+    assert "--expect-cached: 9 scenario(s) had to be simulated" in captured.err

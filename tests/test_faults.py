@@ -22,11 +22,10 @@ from repro.backends.configs import BatchingConfig, ClockworkConfig, GSliceConfig
 from repro.baselines.batching_server import BatchingServer
 from repro.dnn.zoo import build_model
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import run_cached_scenarios
+from repro.experiments.engine import run_cached_scenarios, run_experiment, run_shard
 from repro.experiments.parallel import ScenarioRequest, _run_request, run_scenarios_parallel
 from repro.experiments.registry import ExperimentPlan, ExperimentSpec
 from repro.experiments.scenarios import NAMED_FAULTS, fault_names, named_fault
-from repro.experiments.sweep import merge_sweep, run_sweep_shard
 from repro.rt.metrics import FaultImpact
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
@@ -321,7 +320,7 @@ def test_corrupt_cache_entries_are_quarantined_and_rewritten(tmp_path):
     quarantined = path.with_suffix(path.suffix + ".corrupt")
     assert quarantined.is_file() and not path.exists()
     # Quarantined files are invisible to key probes and entry counting.
-    assert not cache.contains(key)
+    assert not cache.path_for(key).is_file()
     assert len(cache) == 0
 
     # Re-simulating rewrites a clean entry under the same key; the
@@ -419,24 +418,20 @@ def _one_request_spec(request):
     )
 
 
-def _read_through_get(cache, request, tmp_path):
+def _read_through_get(cache, request):
     assert cache.get(request) is None
 
 
-def _read_through_sweep_run(cache, request, tmp_path):
-    report = run_sweep_shard(
-        [_one_request_spec(request)], shard_index=0, num_shards=1, processes=1,
-        sweep_dir=tmp_path / "sweep", cache=cache,
-    )
+def _read_through_sweep_run(cache, request):
+    # One shard of a sweep: `run --shard 0/1`.
+    report = run_shard([_one_request_spec(request)], 0, 1, processes=1, cache=cache)
     assert (report.from_cache, report.simulated) == (0, 1)
 
 
-def _read_through_sweep_merge(cache, request, tmp_path):
-    report = merge_sweep(
-        [_one_request_spec(request)], processes=1, simulate_missing=True,
-        sweep_dir=tmp_path / "sweep", cache=cache,
-    )
-    assert (report.from_cache, report.simulated) == (0, 1)
+def _read_through_sweep_merge(cache, request):
+    # Merged shards are read by a plain run over the merged cache.
+    report = run_experiment(_one_request_spec(request), processes=1, cache=cache)
+    assert (report.cache_hits, report.simulated) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +448,7 @@ def test_wrongly_shaped_entries_are_quarantined(tmp_path, untraced_entry, damage
     path = cache.path_for(cache.key_for(request))
     entry = json.loads(path.read_text(encoding="utf-8"))
     path.write_text(json.dumps(damage(entry)), encoding="utf-8")
-    read(cache, request, tmp_path)
+    read(cache, request)
     assert (cache.hits, cache.misses) == (0, 1)
     assert path.with_suffix(path.suffix + ".corrupt").is_file()
 

@@ -184,7 +184,7 @@ def test_parallel_runner_empty_and_single():
 
 
 def test_parallel_runner_unordered_mode_returns_request_order():
-    """imap_unordered streaming (the sweep driver's mode) may deliver
+    """imap_unordered streaming (the pool's only mode) may deliver
     completions in any order, but the returned list and the callback indices
     must still line up with the request list."""
     taskset = table2_taskset("resnet18")
