@@ -30,9 +30,11 @@ stage is wide) remains faithful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.canonical import canonical_json
 from repro.dnn.layer import LayerSpec
 from repro.dnn.profiles import DnnProfile
 from repro.dnn.stage import StageSpec
@@ -92,6 +94,24 @@ class DnnModel:
             "stages": [stage.to_dict() for stage in self.stages],
             "gpu": self.gpu.to_dict(),
         }
+
+    @functools.cached_property
+    def fingerprint_json(self) -> str:
+        """:meth:`fingerprint` as canonical JSON: sorted keys, no whitespace.
+
+        Encoded once per instance, because every task that serves the model
+        embeds it in its task set's cache key, and :func:`repro.dnn.build_model`
+        hands out one instance per name and GPU.  The memo sits in the
+        instance ``__dict__`` only, outside the dataclass fields, so ``==``,
+        ``hash`` and ``repr`` never see it, and :meth:`__getstate__` leaves
+        it out of the pickled state.
+        """
+        return canonical_json(self.fingerprint())
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("fingerprint_json", None)
+        return state
 
     @property
     def total_work(self) -> float:

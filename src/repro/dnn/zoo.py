@@ -16,6 +16,7 @@ stages therefore follows the real architectures:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List
 
 from repro.dnn.layer import LayerSpec, concat, conv2d, elementwise, linear, pool2d
@@ -254,8 +255,22 @@ def available_models() -> List[str]:
 
 
 def build_model(name: str, gpu: GpuSpec = RTX_2080_TI) -> DnnModel:
-    """Build a calibrated model by name."""
+    """The calibrated model of that name on ``gpu``.
+
+    One model per (name, GPU): the first call calibrates it and later calls
+    return the same instance, so an experiment grid calibrates each network
+    once and encodes its fingerprint once
+    (:attr:`~repro.dnn.model.DnnModel.fingerprint_json`).  Sharing is safe
+    because a model and everything it holds (stages, profile, GPU spec) are
+    frozen dataclasses with tuple fields.  The ``build_*`` functions still
+    calibrate a new model on every call.
+    """
     key = name.lower()
     if key not in _BUILDERS:
         raise KeyError(f"unknown model {name!r}; available: {available_models()}")
-    return _BUILDERS[key](gpu)
+    return _calibrated(key, gpu)
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated(name: str, gpu: GpuSpec) -> DnnModel:
+    return _BUILDERS[name](gpu)

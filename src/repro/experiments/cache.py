@@ -17,8 +17,23 @@ Sharding by the first two hex digits keeps directories small even with
 hundreds of thousands of entries.  An entry holds its schema, its key and
 the result payload, and nothing else: the key already commits to every
 request field, so no reader needs the request's fingerprint back.  Older
-entries also carry a ``"fingerprint"`` object, which no reader looks at, so
-both layouts mix in one cache under the same schema.
+entries also carry a ``"fingerprint"`` object, which no reader looks at.
+
+Entry schema 2 packs every non-empty list of floats in the payload
+(response times, trace columns) as ``{"<f8": "<base64>"}``: the base64 of
+the floats' little-endian float64 bytes.  Decoding those bytes is far
+cheaper than parsing each float's digits, the packed form is smaller, and
+the round trip is bit-exact (NaN, infinities, ``-0.0`` and subnormals
+included).  Empty lists and lists that hold anything but floats stay
+plain JSON.  Only this module knows the packed form:
+:meth:`ResultCache.put` packs the result's :meth:`~ScenarioResult.to_dict`
+and :meth:`ResultCache.get` unpacks it before
+:meth:`ScenarioResult.from_dict` sees it.  The schema had to change: a
+schema-1 reader given a packed object where a list belongs would build a
+wrong result (``list({"<f8": ...})`` is ``["<f8"]``), whereas it finds a
+schema-2 entry stale and re-simulates it.  ``get`` still reads schema 1,
+which holds no packed objects, so a cache written before the change keeps
+hitting; ``put`` writes schema 2 only.
 
 :meth:`ResultCache.get` is the one read: ``run``, ``run --shard`` and
 ``dse`` all reach the cache through it (by way of
@@ -37,17 +52,27 @@ entry carries no ``"trace"`` key at all.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
+import struct
 import tempfile
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.experiments.parallel import ScenarioRequest
 from repro.experiments.runner import ScenarioResult
 
-_ENTRY_SCHEMA = 1
+#: The schema :meth:`ResultCache.put` writes, and the schemas ``get`` reads.
+_ENTRY_SCHEMA = 2
+_READABLE_SCHEMAS = (1, 2)
+
+#: The one key of a packed float list: numpy's name for little-endian float64.
+_PACKED = "<f8"
+_CONTAINERS = frozenset((dict, list))
 
 #: What rebuilding a result from a damaged but parseable payload can raise:
 #: a missing key, a wrong type, a bad value, or a list or scalar where an
@@ -55,6 +80,45 @@ _ENTRY_SCHEMA = 1
 PAYLOAD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 _LOG = logging.getLogger(__name__)
+
+
+def _pack(value: object) -> object:
+    """``value`` with every non-empty all-float list packed as ``{"<f8": base64}``.
+
+    The walk descends only into dicts and into lists that hold a container,
+    and the all-float test runs in C (``set(map(type, ...))``), so a long
+    column costs no Python call per item.
+    """
+    if type(value) is dict:
+        return {
+            key: _pack(item) if type(item) in _CONTAINERS else item
+            for key, item in value.items()
+        }
+    kinds = set(map(type, value))
+    if kinds == {float}:
+        packed = struct.pack(f"<{len(value)}d", *value)
+        return {_PACKED: base64.b64encode(packed).decode("ascii")}
+    if kinds.isdisjoint(_CONTAINERS):
+        return value
+    return [_pack(item) if type(item) in _CONTAINERS else item for item in value]
+
+
+def _unpack(obj: dict) -> object:
+    """``json.load`` object hook: a packed float list back as its floats.
+
+    Raises ``ValueError`` unless the payload is a string of valid base64
+    whose byte count is a multiple of 8, so a damaged marker is never
+    passed on as a dict.
+    """
+    if len(obj) != 1 or _PACKED not in obj:
+        return obj
+    payload = obj[_PACKED]
+    if type(payload) is not str:
+        raise ValueError(f"packed floats are a {type(payload).__name__}, not base64 text")
+    data = base64.b64decode(payload, validate=True)  # binascii.Error is a ValueError
+    if len(data) % 8:
+        raise ValueError(f"packed floats hold {len(data)} bytes, not a multiple of 8")
+    return np.frombuffer(data, dtype="<f8").tolist()
 
 
 class ResultCache:
@@ -94,8 +158,10 @@ class ResultCache:
     def get(self, request: ScenarioRequest) -> Optional[ScenarioResult]:
         """Return the cached result for ``request``, or ``None`` on a miss.
 
-        This is the cache's one read.  Corrupt, unreadable, wrongly shaped
-        or schema-stale entries, and results that cannot be rebuilt, count
+        This is the cache's one read.  It takes schema-1 and schema-2
+        entries and unpacks packed float lists as it parses.  Corrupt,
+        unreadable, wrongly shaped or schema-stale entries, packed lists
+        that do not decode, and results that cannot be rebuilt, count
         as misses like a missing entry — and are *quarantined* (renamed to
         ``<entry>.json.corrupt``) so the damaged bytes stop shadowing the
         key: the scenario re-simulates and the rewritten entry is clean,
@@ -105,10 +171,10 @@ class ResultCache:
         path = self.path_for(self.key_for(request))
         try:
             with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+                entry = json.load(handle, object_hook=_unpack)
             if not isinstance(entry, dict):
                 raise TypeError(f"cache entry is a {type(entry).__name__}, not an object")
-            if entry.get("entry_schema") != _ENTRY_SCHEMA:
+            if entry.get("entry_schema") not in _READABLE_SCHEMAS:
                 raise ValueError("stale cache entry schema")
             result = ScenarioResult.from_dict(entry["result"])
         except FileNotFoundError:
@@ -146,14 +212,15 @@ class ResultCache:
         )
 
     def put(self, request: ScenarioRequest, result: ScenarioResult) -> bool:
-        """Store a completed result; returns whether it was written.
+        """Store a completed result as a schema-2 entry; returns whether it was written.
 
+        The result's float lists are packed (see the module docstring).
         Writes are atomic (tempfile + ``os.replace``) so concurrent experiment
         processes sharing one cache directory can never observe a torn entry.
         """
         key = self.key_for(request)
         path = self.path_for(key)
-        entry = {"entry_schema": _ENTRY_SCHEMA, "key": key, "result": result.to_dict()}
+        entry = {"entry_schema": _ENTRY_SCHEMA, "key": key, "result": _pack(result.to_dict())}
         # Any filesystem failure (unwritable/read-only dir, disk full, ...)
         # degrades to "not cached" — a broken cache must never abort a sweep
         # whose scenarios already simulated successfully.

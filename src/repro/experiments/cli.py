@@ -42,6 +42,11 @@ cache with the distinct scenarios whose cache key falls in shard ``I`` of
 resumes a killed shard; copying the shards' cache directories into one
 merges them, and a plain ``run`` over the merged cache prints the rows,
 byte-identical to an unsharded run.
+
+A shard's cache entries are its only product, so ``run --shard`` exits 4
+when the cache could not store a result it simulated.  A plain ``run`` and
+``dse`` still print their rows; they warn on standard error and keep their
+exit codes.
 """
 
 from __future__ import annotations
@@ -67,8 +72,11 @@ from repro.experiments.registry import (
 )
 
 EXIT_OK = 0
+#: A usage error: an unknown experiment, a bad selection or option.
 EXIT_UNKNOWN_EXPERIMENT = 2
+#: ``--expect-cached``, and a scenario had to be simulated.
 EXIT_NOT_CACHED = 3
+#: The cache is missing or could not be written.
 EXIT_NO_CACHE = 4
 
 
@@ -615,6 +623,16 @@ def _warn_unknown_params(specs: Sequence[ExperimentSpec], params: Optional[dict]
             )
 
 
+def _warn_unwritten(unwritten: int, cache_dir: str, prefix: str = "warning") -> None:
+    """Say on standard error how many simulated results the cache lost."""
+    if unwritten:
+        print(
+            f"{prefix}: {unwritten} simulated result(s) could not be written"
+            f" to the cache at {cache_dir}",
+            file=sys.stderr,
+        )
+
+
 def _expect_cached(args: argparse.Namespace, simulated: int) -> int:
     """The exit code of a run that simulated ``simulated`` scenarios."""
     if args.expect_cached and simulated:
@@ -649,7 +667,13 @@ def _command_run(args: argparse.Namespace) -> int:
             f"shard {shard_index}/{num_shards}: {shard.owned} of {shard.total}"
             f" scenario(s); {shard.from_cache} from cache, {shard.simulated} simulated"
         )
-        return _expect_cached(args, shard.simulated)
+        exit_code = _expect_cached(args, shard.simulated)
+        if shard.unwritten:
+            _warn_unwritten(
+                shard.unwritten, args.cache_dir, prefix=f"shard {shard_index}/{num_shards}"
+            )
+            return EXIT_NO_CACHE
+        return exit_code
     cache: Optional[ResultCache] = None if args.no_cache else ResultCache(args.cache_dir)
     reports = run_experiments(
         specs,
@@ -670,6 +694,7 @@ def _command_run(args: argparse.Namespace) -> int:
             f" {sum(report.cache_hits for report in reports)} scenario(s) from cache,"
             f" {simulated} simulated"
         )
+    _warn_unwritten(sum(report.unwritten for report in reports), args.cache_dir)
     return _expect_cached(args, simulated)
 
 
@@ -763,6 +788,7 @@ def _command_dse(args: argparse.Namespace) -> int:
         print(f"scenarios: {report.cache_hits} cached, {report.simulated} simulated")
     if args.heatmap_csv:
         print(f"heatmap CSV written to {args.heatmap_csv}", file=sys.stderr)
+    _warn_unwritten(report.unwritten, args.cache_dir)
     return _expect_cached(args, report.simulated)
 
 

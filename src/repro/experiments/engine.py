@@ -12,7 +12,8 @@ One code path executes every registered experiment, one spec
 3. **Simulate** — :func:`simulate` runs each distinct miss once on one
    :func:`run_scenarios_parallel` pool and writes each result back to the
    cache *as it streams in*, so an interrupted run resumes from what
-   already finished.  Traced requests are cached like any other.
+   already finished, and it counts the results the cache could not store.
+   Traced requests are cached like any other.
 4. **Aggregate** — the spec's ``make_rows`` folds each seed's results into
    that seed's report rows; with several seeds the engine aggregates the
    per-seed rows column-wise into mean / stdev / 95 %-CI columns.  With one
@@ -70,8 +71,8 @@ def simulate(
     processes: Optional[int],
     cache: Optional[ResultCache],
     on_result: Optional[Callable[[int, ScenarioResult], None]] = None,
-) -> List[ScenarioResult]:
-    """Simulate each distinct request once on one pool; results in request order.
+) -> Tuple[List[ScenarioResult], List[ScenarioRequest]]:
+    """Simulate each distinct request once on one pool.
 
     Value-identical requests (a seed-insensitive backend replicated across
     ``--seeds``, or a scenario two specs share) run once, and the one result
@@ -79,17 +80,22 @@ def simulate(
     streams off the pool and then handed to ``on_result(index, result)``,
     where ``index`` is the position of the request's first occurrence;
     callbacks arrive in completion order.
+
+    Returns ``(results, unwritten)``: the results in request order, and the
+    distinct requests whose result the cache could not store
+    (:meth:`ResultCache.put` returned ``False``), in completion order.
     """
     positions: Dict[ScenarioRequest, List[int]] = {}
     for index, request in enumerate(requests):
         positions.setdefault(request, []).append(index)
     distinct = list(positions.items())
     results: List[Optional[ScenarioResult]] = [None] * len(requests)
+    unwritten: List[ScenarioRequest] = []
 
     def _deliver(slot: int, result: ScenarioResult) -> None:
         request, indices = distinct[slot]
-        if cache is not None:
-            cache.put(request, result)
+        if cache is not None and not cache.put(request, result):
+            unwritten.append(request)
         for index in indices:
             results[index] = result
         if on_result is not None:
@@ -98,7 +104,7 @@ def simulate(
     run_scenarios_parallel(
         [request for request, _ in distinct], processes=processes, on_result=_deliver
     )
-    return results  # type: ignore[return-value]
+    return results, unwritten  # type: ignore[return-value]
 
 
 @dataclass
@@ -116,6 +122,8 @@ class ExperimentReport:
         cache_hits / cache_misses: cache outcomes of the requests, one per
             request occurrence; both are 0 without a cache.
         simulated: distinct scenarios this spec ran through the simulator.
+        unwritten: of those, the ones whose result the cache could not
+            store (an unwritable directory, a full disk); 0 without a cache.
         uncached: always 0, since every request is cacheable, traced
             ones included.  Kept because ``perfbench`` reads it.
 
@@ -138,6 +146,7 @@ class ExperimentReport:
     cache_misses: int = 0
     simulated: int = 0
     uncached: int = 0
+    unwritten: int = 0
 
     @property
     def replicated(self) -> bool:
@@ -307,7 +316,8 @@ def run_experiments(
     requests = [request for expanded in plan for request in expanded.requests]
     cached = list(lookup(requests, result_cache))
     missed = [request for request, result in zip(requests, cached) if result is None]
-    fresh = iter(simulate(missed, processes, result_cache))
+    fresh_results, unwritten = simulate(missed, processes, result_cache)
+    fresh = iter(fresh_results)
     served = iter(cached)
     first_miss: Dict[ScenarioRequest, int] = {}  # each missed request -> its first spec
     counted = result_cache is not None
@@ -333,6 +343,7 @@ def run_experiments(
                 cache_hits=len(results) - misses if counted else 0,
                 cache_misses=misses if counted else 0,
                 simulated=sum(first == number for first in first_miss.values()),
+                unwritten=sum(first_miss.get(request) == number for request in unwritten),
             )
         )
     return reports
@@ -469,7 +480,7 @@ def run_cached_scenarios(
     requests = list(requests)
     cached = list(lookup(requests, result_cache))
     missed = [request for request, result in zip(requests, cached) if result is None]
-    fresh = iter(simulate(missed, processes, result_cache))
+    fresh = iter(simulate(missed, processes, result_cache)[0])
     return [result if result is not None else next(fresh) for result in cached]
 
 
@@ -503,12 +514,15 @@ class ShardReport:
         owned: those whose key falls in this shard.
         from_cache: owned scenarios the cache already held.
         simulated: owned scenarios this call simulated.
+        unwritten: of those, the ones whose result the cache could not
+            store, so the shard did not commit them.
     """
 
     total: int
     owned: int
     from_cache: int
     simulated: int
+    unwritten: int
 
 
 def run_shard(
@@ -551,10 +565,11 @@ def run_shard(
         for request, result in zip(owned, lookup(owned, result_cache))
         if result is None
     ]
-    simulate(misses, processes, result_cache)
+    _, unwritten = simulate(misses, processes, result_cache)
     return ShardReport(
         total=len(distinct),
         owned=len(owned),
         from_cache=len(owned) - len(misses),
         simulated=len(misses),
+        unwritten=len(unwritten),
     )

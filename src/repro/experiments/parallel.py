@@ -31,11 +31,11 @@ inside ``on_result`` and ignore the return value.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.canonical import splice_json
 from repro.experiments.runner import ScenarioResult
 from repro.gpu.calibration import DEFAULT_CALIBRATION, GpuCalibration
 from repro.gpu.spec import GpuSpec, RTX_2080_TI
@@ -131,20 +131,14 @@ class ScenarioRequest:
         and round-trips exactly.  The task set's part is its memoized
         :attr:`~repro.rt.taskset.TaskSetSpec.fingerprint_json`, spliced
         between the keys that sort before ``"taskset"`` and those after it
-        (both sides are never empty: ``"config"`` sorts before it and
-        ``"with_trace"`` after), so the bytes hashed are exactly those of
+        (:func:`~repro.canonical.splice_json`), so the bytes hashed are
+        exactly those of
         ``json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))``.
         """
         settings = self._settings_fingerprint()
         settings["schema"] = FINGERPRINT_SCHEMA
-        before = _canonical_json({k: v for k, v in settings.items() if k < "taskset"})
-        after = _canonical_json({k: v for k, v in settings.items() if k > "taskset"})
-        canonical = f'{before[:-1]},"taskset":{self.taskset.fingerprint_json},{after[1:]}'
+        canonical = splice_json(settings, "taskset", self.taskset.fingerprint_json)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _canonical_json(data: Dict[str, object]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _run_request(request: ScenarioRequest) -> ScenarioResult:

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.canonical import splice_json
 from repro.dnn.model import DnnModel
 from repro.dnn.stage import StageSpec
 from repro.rt.mret import TaskTimingModel
@@ -86,15 +87,30 @@ class TaskSpec:
         return self.deadline_ms if self.deadline_ms is not None else self.period_ms
 
     def to_dict(self) -> dict:
-        """Canonical field dictionary (stable key order; used for cache keys).
+        """Canonical field dictionary (used for cache keys).
 
         The model is flattened through :meth:`DnnModel.fingerprint` so the
         dictionary captures everything that influences simulated behaviour.
         """
+        data = self._settings()
+        data["model"] = self.model.fingerprint()
+        return data
+
+    @property
+    def fingerprint_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON: sorted keys, no whitespace.
+
+        The model's part is its memoized
+        :attr:`~repro.dnn.model.DnnModel.fingerprint_json`, spliced in, so
+        only the task's own fields are encoded here.
+        """
+        return splice_json(self._settings(), "model", self.model.fingerprint_json)
+
+    def _settings(self) -> dict:
+        """Every :meth:`to_dict` entry but the model."""
         return {
             "task_id": self.task_id,
             "name": self.name,
-            "model": self.model.fingerprint(),
             "period_ms": self.period_ms,
             "deadline_ms": self.deadline_ms,
             "priority": int(self.priority),

@@ -20,11 +20,11 @@ in Figure 11.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.canonical import splice_json
 from repro.dnn.model import DnnModel
 from repro.dnn.zoo import build_model
 from repro.numeric import left_sum
@@ -78,11 +78,15 @@ class TaskSetSpec:
 
         Encoded once per instance, because a grid shares a few task sets
         among many requests and the task set is nearly all of a cache key's
-        bytes.  The memo sits in the instance ``__dict__`` only, outside the
-        dataclass fields, so ``==``, ``hash`` and ``repr`` never see it, and
-        :meth:`__getstate__` leaves it out of the pickled state.
+        bytes.  Each task splices in its model's memoized JSON
+        (:attr:`TaskSpec.fingerprint_json`), so a model that many tasks
+        serve is encoded once.  The memo sits in the instance ``__dict__``
+        only, outside the dataclass fields, so ``==``, ``hash`` and ``repr``
+        never see it, and :meth:`__getstate__` leaves it out of the pickled
+        state.
         """
-        return json.dumps(self.fingerprint(), sort_keys=True, separators=(",", ":"))
+        tasks = ",".join(task.fingerprint_json for task in self.tasks)
+        return splice_json({"name": self.name}, "tasks", f"[{tasks}]")
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)

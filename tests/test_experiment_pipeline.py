@@ -9,10 +9,13 @@ invocation served entirely from cache, zero simulator runs).
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
+import struct
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.experiments.registry import (
     all_experiments,
     get_experiment,
 )
+from repro.dnn.zoo import build_model, build_resnet18
 from repro.experiments.runner import ScenarioResult, run_daris_scenario
 from repro.gpu.calibration import GpuCalibration
 from repro.gpu.spec import JETSON_XAVIER
@@ -140,19 +144,30 @@ def test_cache_key_is_the_hash_of_the_canonical_fingerprint_on_every_grid():
 
 
 def test_task_set_key_memo_is_invisible_and_per_value():
-    taskset = _tiny_taskset()
-    before = (hash(taskset), repr(taskset), pickle.dumps(taskset))
+    model = build_resnet18()  # not the shared instance: its memo is still empty
+    taskset = table2_taskset("resnet18", model=model, scale=0.25)
+    before = [(hash(value), repr(value), pickle.dumps(value)) for value in (model, taskset)]
     request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=3)
     key = request.cache_key()
     assert key == _reference_key(request)
-    assert (hash(taskset), repr(taskset), pickle.dumps(taskset)) == before
+    assert "fingerprint_json" in vars(model) and "fingerprint_json" in vars(taskset)
+    assert [(hash(value), repr(value), pickle.dumps(value)) for value in (model, taskset)] == before
+    assert model == build_model("resnet18")
     assert taskset == _tiny_taskset()
     renamed = dataclasses.replace(taskset, name="renamed")
     retimed = dataclasses.replace(
         taskset,
         tasks=(dataclasses.replace(taskset.tasks[0], phase_ms=1.5),) + taskset.tasks[1:],
     )
-    for variant in (renamed, retimed):
+    first = model.stages[0]
+    reworked = dataclasses.replace(
+        model, stages=(dataclasses.replace(first, work=first.work * 2.0),) + model.stages[1:]
+    )
+    recalibrated = dataclasses.replace(
+        taskset,
+        tasks=tuple(dataclasses.replace(task, model=reworked) for task in taskset.tasks),
+    )
+    for variant in (renamed, retimed, recalibrated):
         other = dataclasses.replace(request, taskset=variant)
         assert other.cache_key() == _reference_key(other) != key
 
@@ -212,8 +227,17 @@ def test_cache_hit_miss_and_traced_round_trip(tmp_path, resnet18):
     assert cache.get(request).trace is None
 
 
+def _packed(values):
+    """The cache's packed form of a float list: base64 of little-endian float64."""
+    data = struct.pack(f"<{len(values)}d", *values)
+    return {"<f8": base64.b64encode(data).decode("ascii")}
+
+
 def test_cache_entry_holds_only_schema_key_and_result(tmp_path, resnet18):
-    """An entry stores no request fingerprint: its key already commits to it."""
+    """An entry stores no request fingerprint: its key already commits to it.
+
+    Under schema 2 its float lists (here the response times) are packed.
+    """
     cache = ResultCache(tmp_path / "cache")
     taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
     request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
@@ -224,10 +248,94 @@ def test_cache_entry_holds_only_schema_key_and_result(tmp_path, resnet18):
     entry = json.loads(text)
     assert list(entry) == ["entry_schema", "key", "result"]
     assert entry["key"] == path.stem
+    payload = result.to_dict()
+    for bucket in ("high", "low"):
+        times = payload["metrics"][bucket]["response_times"]
+        assert times and all(type(time) is float for time in times)
+        payload["metrics"][bucket]["response_times"] = _packed(times)
     assert text == json.dumps(
-        {"entry_schema": 1, "key": path.stem, "result": result.to_dict()},
+        {"entry_schema": 2, "key": path.stem, "result": payload},
         separators=(",", ":"),
     )
+
+
+def _bits(value):
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    _from_bits(0x7FF8_0000_0000_0001),  # a NaN with a payload
+    _from_bits(0xFFF8_0000_0000_0000),  # a negative NaN
+    5e-324,  # the smallest subnormal
+    -2.225073858507201e-308,  # the largest subnormal, negated
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    0.1,
+    1.0 / 3.0,
+]
+
+
+def test_packed_floats_round_trip_bit_for_bit(tmp_path, resnet18):
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2)
+    metrics = result.metrics
+    edged = dataclasses.replace(
+        result,
+        metrics=dataclasses.replace(
+            metrics, high=dataclasses.replace(metrics.high, response_times=EDGE_FLOATS)
+        ),
+    )
+    assert cache.put(request, edged)
+    entry = json.loads(cache.path_for(cache.key_for(request)).read_text(encoding="utf-8"))
+    assert entry["result"]["metrics"]["high"]["response_times"] == _packed(EDGE_FLOATS)
+    restored = cache.get(request).metrics.high.response_times
+    assert [struct.pack("<d", value) for value in restored] == [
+        struct.pack("<d", value) for value in EDGE_FLOATS
+    ]
+
+
+def test_only_all_float_lists_are_packed(tmp_path, resnet18):
+    """Mixed, int, bool, str and empty lists stay plain JSON, and keep their types."""
+    cache = ResultCache(tmp_path / "cache")
+    taskset = table2_taskset("resnet18", model=resnet18, scale=0.3)
+    request = ScenarioRequest(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2, with_trace=True)
+    result = run_daris_scenario(taskset, TINY_CONFIGS[0], TINY_HORIZON, seed=2, with_trace=True)
+    metrics = result.metrics
+    mixed = dataclasses.replace(
+        result,
+        metrics=dataclasses.replace(
+            metrics,
+            high=dataclasses.replace(metrics.high, response_times=[1, 2.5]),
+            low=dataclasses.replace(metrics.low, response_times=[]),
+        ),
+    )
+    original = mixed.to_dict()
+    assert cache.put(request, mixed)
+    stored = json.loads(cache.path_for(cache.key_for(request)).read_text(encoding="utf-8"))
+    stored = stored["result"]
+    assert stored["metrics"]["high"]["response_times"] == [1, 2.5]
+    assert stored["metrics"]["low"]["response_times"] == []
+    stages = stored["trace"]["stages"]
+    assert stages["task_name"] == original["trace"]["stages"]["task_name"]  # str
+    assert stages["job_index"] == original["trace"]["stages"]["job_index"]  # int
+    assert stages["priority"] == original["trace"]["stages"]["priority"]  # int
+    flags = original["trace"]["stages"]["missed_virtual_deadline"]
+    assert stages["missed_virtual_deadline"] == flags and {type(flag) for flag in flags} == {bool}
+    assert stages["time_ms"] == _packed(original["trace"]["stages"]["time_ms"])
+    restored = cache.get(request)
+    assert json.dumps(restored.to_dict()) == json.dumps(original)
+    assert [type(value) for value in restored.metrics.high.response_times] == [int, float]
 
 
 def test_entries_embedding_the_fingerprint_still_hit(tmp_path, resnet18):

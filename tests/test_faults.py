@@ -11,6 +11,7 @@ quarantine and the parallel fan-out's pool-crash retry.
 
 from __future__ import annotations
 
+import base64
 import json
 import multiprocessing
 import os
@@ -353,7 +354,8 @@ def traced_entry():
 
 
 def _ragged_column(trace):
-    trace["stages"]["time_ms"].pop()
+    column = trace["stages"]["time_ms"]  # packed: drop its last float's 8 bytes
+    column["<f8"] = base64.b64encode(base64.b64decode(column["<f8"])[:-8]).decode("ascii")
 
 
 def _missing_column(trace):
@@ -373,6 +375,41 @@ def test_damaged_trace_columns_are_quarantined(tmp_path, traced_entry, damage):
     path = cache.path_for(cache.key_for(request))
     entry = json.loads(path.read_text(encoding="utf-8"))
     damage(entry["result"]["trace"])
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    assert cache.get(request) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert path.with_suffix(path.suffix + ".corrupt").is_file()
+    assert not path.exists()
+
+
+def _set_packed(payload):
+    def damage(marker):
+        assert set(marker) == {"<f8"}
+        marker["<f8"] = payload
+
+    return damage
+
+
+# Packed float lists that do not decode: invalid base64, 7 bytes (not a
+# whole float64), and a payload that is not text at all.
+DAMAGED_PACKED_FLOATS = {
+    "bad-base64": _set_packed("not base64!"),
+    "seven-bytes": _set_packed(base64.b64encode(bytes(7)).decode("ascii")),
+    "number": _set_packed(3),
+}
+
+
+@pytest.mark.parametrize(
+    "damage", DAMAGED_PACKED_FLOATS.values(), ids=list(DAMAGED_PACKED_FLOATS)
+)
+def test_damaged_packed_floats_are_quarantined(tmp_path, untraced_entry, damage):
+    """A packed float list that does not decode is one miss, quarantined."""
+    request, result = untraced_entry
+    cache = ResultCache(tmp_path / "cache")
+    assert cache.put(request, result)
+    path = cache.path_for(cache.key_for(request))
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    damage(entry["result"]["metrics"]["high"]["response_times"])
     path.write_text(json.dumps(entry), encoding="utf-8")
     assert cache.get(request) is None
     assert (cache.hits, cache.misses) == (0, 1)

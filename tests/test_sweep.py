@@ -310,6 +310,37 @@ def test_cli_sweep_round_trip_matches_run_output(tmp_path, capsys):
     assert merged_out.strip()
 
 
+def test_cli_reports_results_an_unwritable_cache_lost(tmp_path, monkeypatch, capsys):
+    """A cache directory that is a regular file stores nothing.  A shard's
+    entries are its only product, so `run --shard` names the lost results
+    and exits 4; a plain `run` and `dse` warn once and keep their exit codes."""
+    spec = _tiny_spec()
+    monkeypatch.setitem(registry_module._REGISTRY, spec.name, spec)
+    blocked = tmp_path / "cache"
+    blocked.write_text("not a directory", encoding="utf-8")
+    lost = f"2 simulated result(s) could not be written to the cache at {blocked}\n"
+    argv = ["run", spec.name, "--jobs", "1", "--cache-dir", str(blocked)]
+
+    assert cli.main([*argv, "--shard", "0/1"]) == cli.EXIT_NO_CACHE
+    captured = capsys.readouterr()
+    assert captured.out == "shard 0/1: 2 of 2 scenario(s); 0 from cache, 2 simulated\n"
+    assert captured.err == f"shard 0/1: {lost}"
+
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "total: 1 experiment(s), 0 scenario(s) from cache, 2 simulated" in captured.out
+    assert captured.err == f"warning: {lost}"
+
+    dse = ["dse", "--scheduler", "clockwork", "--jobs", "1", "--cache-dir", str(blocked)]
+    assert cli.main(dse) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "scenarios: 0 cached, 4 simulated" in captured.out
+    assert captured.err == (
+        f"warning: 4 simulated result(s) could not be written to the cache at {blocked}\n"
+    )
+    assert blocked.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_cli_shard_argument_is_validated(tmp_path, executed_requests):
     """Bad shard specs, `--shard` with `--no-cache` or `--json`, and the
     retired `sweep` command are usage errors raised before anything runs."""
