@@ -26,6 +26,7 @@ from repro.experiments.registry import (
 from repro.experiments.scenarios import best_config_for, horizon_ms, worst_dmr_config
 from repro.numeric import left_sum
 from repro.rt.taskset import table2_taskset
+from repro.rt.trace import underprediction_rate
 
 
 def _build(ctx: BuildContext) -> ExperimentPlan:
@@ -46,9 +47,7 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
     def make_rows(row_ctx: RowContext) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = []
         for label, result in zip(configs, row_ctx.results):
-            trace = result.trace
-            task_name = taskset.tasks[0].name
-            series = trace.execution_vs_mret(task_name)
+            series = result.trace.execution_vs_mret(taskset.tasks[0].name)
             executions = [measured for _, measured, _ in series]
             predictions = [predicted for _, _, predicted in series]
             errors = [abs(measured - predicted) for _, measured, predicted in series]
@@ -66,7 +65,7 @@ def _build(ctx: BuildContext) -> ExperimentPlan:
                     "mean_abs_error_ms": round(left_sum(errors) / len(errors), 3)
                     if errors
                     else 0.0,
-                    "underprediction_rate": round(trace.underprediction_rate(task_name), 3),
+                    "underprediction_rate": round(underprediction_rate(series), 3),
                     "lp_dmr": round(result.lp_dmr, 4),
                     "total_jps": round(result.total_jps, 1),
                 }

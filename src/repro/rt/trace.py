@@ -194,10 +194,13 @@ class TraceRecorder:
         series.sort(key=lambda item: item[0])
         return series
 
-    def underprediction_rate(self, task_name: str) -> float:
-        """Fraction of jobs whose measured execution exceeded the MRET prediction."""
-        series = self.execution_vs_mret(task_name)
-        if not series:
-            return 0.0
-        over = sum(1 for _, measured, predicted in series if measured > predicted + 1e-9)
-        return over / len(series)
+
+def underprediction_rate(series: Sequence[tuple]) -> float:
+    """Fraction of jobs whose measured execution exceeded the MRET prediction.
+
+    ``series`` is one task's :meth:`TraceRecorder.execution_vs_mret`.
+    """
+    if not series:
+        return 0.0
+    over = sum(1 for _, measured, predicted in series if measured > predicted + 1e-9)
+    return over / len(series)

@@ -15,17 +15,19 @@ replan superseded fires as a no-op (see :mod:`repro.gpu.engine`).
 Heap entries are ``(key, payload)`` pairs where ``key`` is the usual
 ``(time, priority, seq)`` tuple and ``payload`` is either a full
 :class:`Event` (cancellable, labelled, handle-backed) or a bare callback.
-Fire-and-forget paths (:meth:`Simulator.schedule_batch` and the GPU engine's
-direct pushes) use the bare form: no ``Event`` object is allocated at all,
-which matters because dispatch/release scheduling is one of the hottest
-allocation sites of a scenario run.  Keys draw sequence numbers from the
-shared event counter, so the deterministic total order is unchanged.
+Fire-and-forget paths (:meth:`Simulator.schedule_series` and the GPU
+engine's direct pushes) use the bare form: no ``Event`` object is allocated
+at all, which matters because dispatch/release scheduling is one of the
+hottest allocation sites of a scenario run.  Keys draw sequence numbers from
+the shared event counter, so the deterministic total order is unchanged.
+A series keeps only its next entry in the heap, so a run's release streams
+cost one heap entry each, whatever the horizon.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.events import Event, EventHandle, next_sequence
 
@@ -36,6 +38,46 @@ _COMPACTION_MIN_CANCELLED = 64
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. scheduling in the past)."""
+
+
+class _Series:
+    """The one heap entry of a :meth:`Simulator.schedule_series` series.
+
+    Firing it pushes itself again, keyed by the next time.  Only the heap
+    refers to it, so a finished series frees its times and callback without
+    waiting for the cycle collector.
+    """
+
+    __slots__ = ("heap", "times", "floor", "priority", "seq", "callback", "position")
+
+    def __init__(
+        self,
+        heap: List[tuple],
+        times: Sequence[float],
+        floor: float,
+        priority: int,
+        seq: int,
+        callback: Callable[["Simulator", int], None],
+    ):
+        self.heap = heap  # compaction replaces the heap's contents in place
+        self.times = times
+        self.floor = floor
+        self.priority = priority
+        self.seq = seq
+        self.callback = callback
+        self.position = 0
+
+    def __call__(self, simulator: "Simulator") -> None:
+        index = self.position
+        following = self.position = index + 1
+        times = self.times
+        if following < len(times):
+            time = times[following]
+            floor = self.floor
+            heapq.heappush(
+                self.heap, ((time if time > floor else floor, self.priority, self.seq), self)
+            )
+        self.callback(simulator, index)
 
 
 class Simulator:
@@ -112,46 +154,48 @@ class Simulator:
             raise SimulationError(f"negative delay {delay:.6f} ms")
         return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
 
-    def schedule_batch(
+    def schedule_series(
         self,
-        entries: Iterable[Tuple[float, int, Callable[["Simulator"], None]]],
-    ) -> int:
-        """Bulk-schedule fire-and-forget ``(time, priority, callback)`` entries.
+        times: Sequence[float],
+        priority: int,
+        callback: Callable[["Simulator", int], None],
+    ) -> None:
+        """Schedule ``callback(simulator, i)`` at each of the non-decreasing ``times``.
 
-        Pop order is independent of the insertion strategy because keys are
-        unique (the shared sequence counter) and a heap pops uniquely-keyed
-        items in sorted order regardless of its internal arrangement — so the
-        cheaper of two equivalent insertions is chosen per call: n individual
-        pushes (O(n log heap), right when the batch is small next to the
-        resident heap, e.g. one task's releases landing among every other
-        task's) or append-all + one heapify (O(n + heap), right for bulk
-        loads into a small heap).  The historical always-heapify form made
-        per-task scheduling quadratic in the number of tasks.  Returns the
-        entry count.
+        The series holds at most one heap entry: firing entry ``i`` pushes
+        entry ``i + 1``.  Every entry is keyed ``(times[i], priority, seq)``
+        with one sequence number drawn now.  Pop order is bit-identical to
+        pushing every entry up front, each with its own sequence number:
+
+        * up front, the entries would draw a contiguous block of sequence
+          numbers here.  The series' one number is drawn at the same point
+          of the global sequence, so it compares against every other
+          event's number exactly as each number of that block would;
+        * keys stay unique, because a series has at most one entry in the
+          heap;
+        * two series that share a time and priority pop in the order they
+          were scheduled, as before.  Within a series, entry ``i + 1`` can
+          enter the heap only after entry ``i`` has popped, and the entries
+          not yet pushed sort after the one that is, so leaving them out
+          never changes which entry is the smallest.
+
+        The past-time rule of :meth:`schedule_at` applies to the first
+        entry; later entries are clamped to at least its clamped time.  An
+        empty series schedules nothing.  ``times`` is read as the series
+        fires, so it must not change afterwards.
         """
-        heap = self._heap
+        if len(times) == 0:
+            return
         now = self.now
-        staged = []
-        for time, priority, callback in entries:
-            if time < now:
-                if time < now - 1e-9:
-                    raise SimulationError(
-                        f"cannot schedule event at {time:.6f} ms,"
-                        f" current time is {now:.6f} ms"
-                    )
-                time = now
-            staged.append(((time, priority, next_sequence()), callback))
-        count = len(staged)
-        if not count:
-            return 0
-        total = len(heap) + count
-        if count * total.bit_length() < total:
-            for item in staged:
-                heapq.heappush(heap, item)
-        else:
-            heap.extend(staged)
-            heapq.heapify(heap)
-        return count
+        first = times[0]
+        if first < now:
+            if first < now - 1e-9:
+                raise SimulationError(
+                    f"cannot schedule event at {first:.6f} ms, current time is {now:.6f} ms"
+                )
+            first = now
+        series = _Series(self._heap, times, first, priority, next_sequence(), callback)
+        heapq.heappush(self._heap, ((first, priority, series.seq), series))
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""

@@ -36,6 +36,7 @@ makes a new arrival kind a one-file change.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from typing import (
     Callable,
@@ -119,15 +120,19 @@ class ArrivalProcess:
         """Schedule all arrivals up to ``horizon`` on ``simulator``.
 
         Returns the number of arrivals scheduled.  The callback receives the
-        :class:`ArrivalEvent`; it is invoked at the arrival time.  Releases
-        are bulk-inserted (append + one heapify) through
-        :meth:`Simulator.schedule_batch`, which pops identically to the
-        historical per-event pushes but costs O(n) instead of O(n log n).
+        :class:`ArrivalEvent`; it is invoked at the arrival time.  The
+        release times are generated now, in order, so every RNG stream (the
+        shared jitter stream included) is drawn exactly as before; they are
+        kept as packed floats and scheduled as one
+        :meth:`Simulator.schedule_series`, which holds one heap entry per
+        stream.  Every process numbers its events 0, 1, 2, ..., so an
+        event's index is its position in the series.
         """
-        return simulator.schedule_batch(
-            (event.time, -1, lambda _sim, ev=event: callback(ev))
-            for event in self.events(horizon)
+        times = array("d", [event.time for event in self.events(horizon)])
+        simulator.schedule_series(
+            times, -1, lambda _sim, index: callback(ArrivalEvent(index, times[index]))
         )
+        return len(times)
 
 
 class PeriodicArrival(ArrivalProcess):
@@ -1011,9 +1016,9 @@ class ReleaseStream:
 
         Tasks must expose ``task_id`` / ``period_ms`` / ``phase_ms`` (the
         :class:`~repro.rt.task.TaskSpec` surface).  Streams are driven in
-        task order, which pins the shared-jitter draw order and the
-        simulator insertion order exactly as the historical per-backend
-        loops did.
+        task order, which pins the shared-jitter draw order and the order of
+        the tasks' release series (simultaneous releases of two tasks pop in
+        task order) exactly as the historical per-backend loops did.
         """
         released = 0
         for task in tasks:

@@ -12,13 +12,14 @@ around them.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.cluster import ROUTER_POLICIES, ClusterConfig, ClusterServer, PlacementSpec
 from repro.cluster import server as server_module
 from repro.dnn.zoo import build_model
 from repro.experiments.parallel import ScenarioRequest, run_scenarios_parallel
-from repro.experiments.runner import run_daris_scenario
 from repro.gpu.engine import GpuEngine
 from repro.rt.taskset import make_taskset, table2_taskset
 from repro.scheduler.config import DarisConfig
@@ -29,16 +30,6 @@ from repro.sim.simulator import Simulator
 from repro.sim.workload import POISSON_WORKLOAD
 
 from test_golden_digests import CLUSTER_MATRIX, GOLDEN_DIGESTS, digest
-
-
-def _run_traced(seed: int = 1, horizon: float = 1000.0):
-    return run_daris_scenario(
-        table2_taskset("resnet18"),
-        DarisConfig.mps_config(6, 6.0),
-        horizon,
-        seed=seed,
-        with_trace=True,
-    )
 
 
 # ---------------------------------------------------------------- engagement
@@ -109,12 +100,6 @@ def test_compaction_preserves_firing_order_and_counts():
     assert simulator.live_events == 0
 
 
-def test_engine_replanning_does_not_bloat_heap():
-    """Replan churn (cancel + reschedule per event) stays bounded via compaction."""
-    result = _run_traced(seed=2, horizon=600.0)
-    assert result.metrics.total_jps > 0
-
-
 def test_live_events_counter_tracks_cancellations():
     simulator = Simulator()
     a = simulator.schedule_at(1.0, lambda _sim: None)
@@ -125,6 +110,56 @@ def test_live_events_counter_tracks_cancellations():
     assert simulator.live_events == 1
     simulator.run_until(3.0)
     assert simulator.live_events == 0
+
+
+# ------------------------------------------------------------------ heap size
+
+
+def test_engine_replanning_does_not_bloat_heap():
+    """The heap holds one pending release per task plus a few engine events.
+
+    A probe series samples the heap size every simulated millisecond of an
+    MPS 6x1 and an MPS+STR 3x3 run.  With every release pushed up front, the
+    largest sample held 1,530 entries besides the probe's.  With one pending
+    release per task the samples stay within the task count plus two
+    entries per GPU stream, room for the probe itself and the engine's
+    kernel-ready and completion events (58 at most on both runs).
+    """
+    taskset = table2_taskset("resnet18")
+    horizon = 1000.0
+    for config in (DarisConfig.mps_config(6, 6.0), DarisConfig.mps_str_config(3, 3, 1.0)):
+        simulator = Simulator()
+        scheduler = DarisScheduler(simulator, taskset, config, rng=RngFactory(2))
+        samples = []
+        simulator.schedule_series(
+            [float(t) for t in range(int(horizon))],
+            0,
+            lambda sim, _index: samples.append(sim.pending_events),
+        )
+        result = scheduler.run(horizon)
+        assert result.total_jps > 0
+        assert len(samples) == int(horizon)
+        platform = scheduler.platform
+        streams = platform.num_contexts * platform.streams_per_context
+        assert max(samples) <= len(taskset.tasks) + 2 * streams, config.label()
+
+
+def test_start_keeps_one_release_per_task_in_the_heap():
+    """Scheduling a long horizon holds one heap entry per task, in little memory."""
+    simulator = Simulator()
+    taskset = table2_taskset("resnet18")
+    scheduler = DarisScheduler(
+        simulator, taskset, DarisConfig.mps_config(6, 6.0), rng=RngFactory(1)
+    )
+    tracemalloc.start()
+    try:
+        scheduler.start(50_000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert simulator.pending_events == len(taskset.tasks) == 51
+    # With every release pushed up front, the peak was 38.5 MB (76,501 entries).
+    assert peak < 2_000_000
 
 
 # ------------------------------------------------------ windowed utilization

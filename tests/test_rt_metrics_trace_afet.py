@@ -6,7 +6,7 @@ from repro.gpu.platform import PlatformConfig
 from repro.rt.afet import estimate_afet_analytic, profile_afet
 from repro.rt.metrics import MetricsCollector
 from repro.rt.task import Priority, Task, TaskSpec
-from repro.rt.trace import JobTraceRecord, StageTraceRecord, TraceRecorder
+from repro.rt.trace import JobTraceRecord, StageTraceRecord, TraceRecorder, underprediction_rate
 
 
 def _task(model, priority=Priority.HIGH, period=40.0, task_id=0):
@@ -104,7 +104,7 @@ def test_trace_recorder_filters_and_aggregates():
     series = trace.execution_vs_mret("resnet18/task0")
     assert len(series) == 2
     assert series[0][1] == pytest.approx(2.0)
-    assert trace.underprediction_rate("resnet18/task0") == pytest.approx(0.5)
+    assert underprediction_rate(series) == pytest.approx(0.5)
     assert len(trace.stage_series(stage_index=1)) == 2
     assert trace.stage_series(task_name="other") == []
 

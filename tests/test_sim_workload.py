@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -406,6 +407,20 @@ def test_release_stream_drive_taskset_counts_and_orders_releases():
     sim.run_until(40.0)
     assert released == len(seen) == 5 + 2
     assert [time for _, time in seen] == sorted(time for _, time in seen)
+
+
+def test_release_streams_keep_one_heap_entry_each():
+    """Driving holds one pending release per stream, however long the horizon."""
+    tasks = [SimpleNamespace(task_id=i, period_ms=10.0 + i, phase_ms=0.5 * i) for i in range(8)]
+    sim = Simulator()
+    stream = ReleaseStream(POISSON_WORKLOAD.with_jitter(2.0), RngFactory(3))
+    released = stream.drive_taskset(sim, 10_000.0, tasks, lambda task, event: None)
+    assert released > 100 * len(tasks)
+    assert sim.pending_events == len(tasks)
+    assert stream.drive_aggregate(sim, 10_000.0, 500.0, lambda event: None) > 1000
+    assert sim.pending_events == len(tasks) + 1
+    sim.run_until(5_000.0)
+    assert sim.pending_events == len(tasks) + 1
 
 
 def test_release_stream_aggregate_mode_matches_the_legacy_batching_stream():
