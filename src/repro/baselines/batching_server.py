@@ -37,7 +37,7 @@ from repro.sim.faults import (
 )
 from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
-from repro.sim.workload import PERIODIC_WORKLOAD, ReleaseStream, WorkloadSpec
+from repro.sim.workload import PERIODIC_WORKLOAD, ArrivalEvent, ReleaseStream, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,141 @@ class BatchingArrivalResult:
     def completed(self) -> int:
         """Requests that completed within the horizon."""
         return self.metrics.total_completed
+
+
+class _ArrivalLoop:
+    """The queue and batch loop of one rate-driven run.
+
+    One slotted object in place of closures that call one another: only
+    pending events and the kernels of the batch in flight refer to it, so
+    it is freed once the run's owner drops them.
+    """
+
+    __slots__ = (
+        "server",
+        "simulator",
+        "platform",
+        "injector",
+        "policy",
+        "deadline_ms",
+        "timeout_ms",
+        "client_timeout",
+        "partial_kernels",
+        "pending",
+        "running",
+        "completed",
+        "missed",
+        "dropped",
+        "timed_out",
+        "failed",
+        "retries",
+        "response_times",
+    )
+
+    def __init__(
+        self,
+        server: "BatchingServer",
+        simulator: Simulator,
+        platform: GpuPlatform,
+        injector: FaultInjector,
+        policy: ResiliencePolicy,
+        deadline_ms: float,
+        timeout_ms: Optional[float],
+    ):
+        self.server = server
+        self.simulator = simulator
+        self.platform = platform
+        self.injector = injector
+        self.policy = policy
+        self.deadline_ms = deadline_ms
+        self.timeout_ms = timeout_ms
+        self.client_timeout = injector.timeout_ms
+        # Partial-batch kernels per batch length, built once per run: the
+        # engine memoizes launch invariants per spec object.
+        self.partial_kernels: Dict[int, List[KernelSpec]] = {}
+        self.pending: List[float] = []  # release times of queued requests
+        self.running = False
+        self.completed = 0
+        self.missed = 0
+        self.dropped = 0
+        self.timed_out = 0
+        self.failed = 0
+        self.retries = 0
+        self.response_times: List[float] = []
+
+    def maybe_launch(self, force: bool = False) -> None:
+        if self.running:
+            return
+        simulator = self.simulator
+        pending = self.pending
+        client_timeout = self.client_timeout
+        if client_timeout is not None and pending:
+            # Clients abandon requests that sat queued past their timeout.
+            fresh = [r for r in pending if simulator.now - r <= client_timeout + 1e-9]
+            self.timed_out += len(pending) - len(fresh)
+            pending[:] = fresh
+        if not pending:
+            return
+        injector = self.injector
+        if self.policy.degraded_fallback == "partial-batch" and injector.degraded:
+            # Degraded mode: don't wait for a full batch on a slow GPU.
+            force = True
+        server = self.server
+        batch_size = server.batch_size
+        if len(pending) < batch_size and not force:
+            return
+        batch = pending[:batch_size]
+        del pending[: len(batch)]
+        self.running = True
+        stages = server.kernels
+        if len(batch) < batch_size:
+            stages = self.partial_kernels.get(len(batch))
+            if stages is None:
+                scale = len(batch) / float(batch_size)
+                stages = [
+                    spec.scaled(scale, 1.0, float(server.gpu.num_sms))
+                    for spec in server.kernels
+                ]
+                self.partial_kernels[len(batch)] = stages
+        run = BatchRun(self.platform, 0, stages, partial(self.finish_batch, batch))
+        outcome = injector.launch_attempt()
+        self.retries += outcome.retries
+        if not outcome.succeeded or outcome.delay_ms > 0.0:
+            deferred_launch(simulator, outcome, run.submit, partial(self.lose_batch, batch))
+            return
+        run.submit()
+
+    def finish_batch(self, batch: List[float]) -> None:
+        self.running = False
+        now = self.simulator.now
+        deadline_ms = self.deadline_ms
+        for release in batch:
+            self.completed += 1
+            self.response_times.append(now - release)
+            late = now > release + deadline_ms
+            if late:
+                self.missed += 1
+            self.injector.note_completion(now, on_time=not late)
+        self.maybe_launch(force=False)
+
+    def lose_batch(self, batch: List[float]) -> None:
+        self.failed += len(batch)
+        self.running = False
+        self.maybe_launch(force=False)
+
+    def on_arrival(self, event: ArrivalEvent) -> None:
+        if self.injector.drop_request():
+            self.dropped += 1
+            return
+        self.pending.append(event.time)
+        self.maybe_launch(force=False)
+        if self.timeout_ms is not None:
+            self.simulator.schedule_after(
+                self.timeout_ms, self.on_batch_timeout, label="batch-timeout"
+            )
+
+    def on_batch_timeout(self, _simulator: Simulator) -> None:
+        self.maybe_launch(force=True)
 
 
 class BatchingServer:
@@ -117,6 +252,10 @@ class BatchingServer:
         ``"partial-batch"`` degraded fallback — the server stops waiting
         for full batches while the GPU is degraded, trading efficiency for
         latency exactly when throttling already inflates service times.
+
+        Once the metrics are summarized, the run drops its pending events
+        and the callbacks of the batch still in flight, so reference
+        counting frees the whole run when this returns.
         """
         if arrival_rate_jps <= 0 or deadline_ms <= 0 or horizon_ms <= 0:
             raise ValueError("arrival rate, deadline and horizon must be positive")
@@ -136,81 +275,9 @@ class BatchingServer:
             calibration=self.calibration,
         )
         injector.install(simulator, platform, horizon_ms)
-        client_timeout = injector.timeout_ms
-        # Partial-batch kernels per batch length, built once per run: the
-        # engine memoizes launch invariants per spec object.
-        partial_kernels: Dict[int, List[KernelSpec]] = {}
-        pending: List[float] = []  # release times of queued requests
-        busy = {"running": False}
-        completed = {"count": 0, "missed": 0}
-        fault_counts = {"dropped": 0, "timed_out": 0, "failed": 0, "retries": 0}
-        response_times: List[float] = []
-
-        def maybe_launch(force: bool = False) -> None:
-            if busy["running"]:
-                return
-            if client_timeout is not None and pending:
-                # Clients abandon requests that sat queued past their timeout.
-                fresh = [r for r in pending if simulator.now - r <= client_timeout + 1e-9]
-                fault_counts["timed_out"] += len(pending) - len(fresh)
-                pending[:] = fresh
-            if not pending:
-                return
-            if policy.degraded_fallback == "partial-batch" and injector.degraded:
-                # Degraded mode: don't wait for a full batch on a slow GPU.
-                force = True
-            if len(pending) < self.batch_size and not force:
-                return
-            batch = pending[: self.batch_size]
-            del pending[: len(batch)]
-            busy["running"] = True
-            stages = self.kernels
-            if len(batch) < self.batch_size:
-                stages = partial_kernels.get(len(batch))
-                if stages is None:
-                    scale = len(batch) / float(self.batch_size)
-                    stages = [
-                        spec.scaled(scale, 1.0, float(self.gpu.num_sms))
-                        for spec in self.kernels
-                    ]
-                    partial_kernels[len(batch)] = stages
-            run = BatchRun(platform, 0, stages, partial(finish_batch, batch))
-            outcome = injector.launch_attempt()
-            fault_counts["retries"] += outcome.retries
-            if not outcome.succeeded or outcome.delay_ms > 0.0:
-                deferred_launch(simulator, outcome, run.submit, partial(lose_batch, batch))
-                return
-            run.submit()
-
-        def finish_batch(batch: List[float]) -> None:
-            busy["running"] = False
-            for release in batch:
-                completed["count"] += 1
-                response_times.append(simulator.now - release)
-                late = simulator.now > release + deadline_ms
-                if late:
-                    completed["missed"] += 1
-                injector.note_completion(simulator.now, on_time=not late)
-            maybe_launch(force=False)
-
-        def lose_batch(batch: List[float]) -> None:
-            fault_counts["failed"] += len(batch)
-            busy["running"] = False
-            maybe_launch(force=False)
-
-        def on_arrival(simulator_now: float) -> None:
-            if injector.drop_request():
-                fault_counts["dropped"] += 1
-                return
-            pending.append(simulator_now)
-            maybe_launch(force=False)
-            if timeout_ms is not None:
-                simulator.schedule_after(
-                    timeout_ms, lambda _sim: maybe_launch(force=True), label="batch-timeout"
-                )
-
+        loop = _ArrivalLoop(self, simulator, platform, injector, policy, deadline_ms, timeout_ms)
         released = ReleaseStream(workload, rng).drive_aggregate(
-            simulator, horizon_ms, arrival_rate_jps, lambda event: on_arrival(event.time)
+            simulator, horizon_ms, arrival_rate_jps, loop.on_arrival
         )
         simulator.run_until(horizon_ms)
 
@@ -221,20 +288,22 @@ class BatchingServer:
         fault_kwargs: Dict[str, object] = {}
         if faults_active:
             fault_kwargs = dict(
-                admitted=released - fault_counts["dropped"],
-                dropped=fault_counts["dropped"],
-                timed_out=fault_counts["timed_out"],
-                failed=fault_counts["failed"],
-                launch_retries=fault_counts["retries"],
+                admitted=released - loop.dropped,
+                dropped=loop.dropped,
+                timed_out=loop.timed_out,
+                failed=loop.failed,
+                launch_retries=loop.retries,
                 fault_impact=FaultImpact.from_summary(injector.summary()),
             )
         metrics = single_class_metrics(
             horizon_ms,
-            completed=completed["count"],
-            missed=completed["missed"],
+            completed=loop.completed,
+            missed=loop.missed,
             released=released,
-            response_times=response_times,
-            per_task_completed={self.model.name: completed["count"]},
+            response_times=loop.response_times,
+            per_task_completed={self.model.name: loop.completed},
             **fault_kwargs,
         )
+        simulator.drop_pending()
+        platform.engine.drop_callbacks()
         return BatchingArrivalResult(metrics=metrics, released=released)

@@ -41,8 +41,9 @@ class BatchRun:
     """One batch's progress through its kernels, one kernel at a time.
 
     The bound :meth:`on_kernel_done` is the kernel callback, so a batch in
-    flight is held only by its current kernel and holds nothing that points
-    back at it: reference counting frees it once its last kernel is done.
+    flight is held only by its current kernel: reference counting frees it
+    once its last kernel is done, or once the run's owner drops the
+    callbacks of the kernels still in flight.
     """
 
     __slots__ = ("platform", "context", "kernels", "next_kernel", "on_done")
@@ -73,6 +74,79 @@ class BatchRun:
             self.submit()
         else:
             self.on_done()
+
+
+class _SaturatedLoop:
+    """The partitions of one saturated run, each relaunching as its batch ends.
+
+    One slotted object in place of closures that call one another: only
+    pending events and the kernels of batches in flight refer to it, so it
+    is freed once the run's owner drops them.
+    """
+
+    __slots__ = (
+        "server",
+        "simulator",
+        "platform",
+        "injector",
+        "horizon_ms",
+        "kernels",
+        "completed_jobs",
+        "batch_latencies",
+        "failed",
+        "retries",
+    )
+
+    def __init__(
+        self,
+        server: "GSliceServer",
+        simulator: Simulator,
+        platform: GpuPlatform,
+        injector: FaultInjector,
+        horizon_ms: float,
+        kernels: Sequence[Sequence[KernelSpec]],
+    ):
+        self.server = server
+        self.simulator = simulator
+        self.platform = platform
+        self.injector = injector
+        self.horizon_ms = horizon_ms
+        self.kernels = kernels
+        self.completed_jobs = {model.name: 0 for model in server.models}
+        self.batch_latencies: Dict[str, List[float]] = {
+            model.name: [] for model in server.models
+        }
+        self.failed = 0
+        self.retries = 0
+
+    def launch_batch(self, partition: int) -> None:
+        simulator = self.simulator
+        run = BatchRun(
+            self.platform,
+            partition,
+            self.kernels[partition],
+            partial(self.finish_batch, partition, simulator.now),
+        )
+        outcome = self.injector.launch_attempt()
+        self.retries += outcome.retries
+        if not outcome.succeeded or outcome.delay_ms > 0.0:
+            deferred_launch(simulator, outcome, run.submit, partial(self.lose_batch, partition))
+            return
+        run.submit()
+
+    def finish_batch(self, partition: int, start_time: float) -> None:
+        now = self.simulator.now
+        name = self.server.models[partition].name
+        self.completed_jobs[name] += self.server.batch_sizes[partition]
+        self.batch_latencies[name].append(now - start_time)
+        self.injector.note_completion(now, on_time=True)
+        if now < self.horizon_ms:
+            self.launch_batch(partition)
+
+    def lose_batch(self, partition: int) -> None:
+        self.failed += self.server.batch_sizes[partition]
+        if self.simulator.now < self.horizon_ms:
+            self.launch_batch(partition)
 
 
 @dataclass(frozen=True)
@@ -134,6 +208,10 @@ class GSliceServer:
         a batch launch that exhausts its retry budget loses that batch
         (``failed`` counts one per request in the batch).  Request-level
         drops/timeouts do not apply to the saturated closed loop.
+
+        Once the metrics are summarized, the run drops its pending events
+        and the callbacks of the batches still in flight, so reference
+        counting frees the whole run when this returns.
         """
         if horizon_ms <= 0:
             raise ValueError("horizon must be positive")
@@ -158,61 +236,34 @@ class GSliceServer:
             batched_kernel_specs(model, batch)
             for model, batch in zip(self.models, self.batch_sizes)
         ]
-        completed_jobs = {model.name: 0 for model in self.models}
-        batch_latencies: Dict[str, List[float]] = {model.name: [] for model in self.models}
-        fault_counts = {"failed": 0, "retries": 0}
-
-        def launch_batch(partition: int) -> None:
-            run = BatchRun(
-                platform,
-                partition,
-                kernels[partition],
-                partial(finish_batch, partition, simulator.now),
-            )
-            outcome = injector.launch_attempt()
-            fault_counts["retries"] += outcome.retries
-            if not outcome.succeeded or outcome.delay_ms > 0.0:
-                deferred_launch(simulator, outcome, run.submit, partial(lose_batch, partition))
-                return
-            run.submit()
-
-        def finish_batch(partition: int, start_time: float) -> None:
-            name = self.models[partition].name
-            completed_jobs[name] += self.batch_sizes[partition]
-            batch_latencies[name].append(simulator.now - start_time)
-            injector.note_completion(simulator.now, on_time=True)
-            if simulator.now < horizon_ms:
-                launch_batch(partition)
-
-        def lose_batch(partition: int) -> None:
-            fault_counts["failed"] += self.batch_sizes[partition]
-            if simulator.now < horizon_ms:
-                launch_batch(partition)
-
+        loop = _SaturatedLoop(self, simulator, platform, injector, horizon_ms, kernels)
         for partition in range(num_partitions):
-            launch_batch(partition)
+            loop.launch_batch(partition)
         simulator.run_until(horizon_ms)
 
+        completed_jobs = loop.completed_jobs
         per_model = {
             name: 1000.0 * count / horizon_ms for name, count in completed_jobs.items()
         }
         response_times = [
             latency
             for partition, model in enumerate(self.models)
-            for latency in batch_latencies[model.name]
+            for latency in loop.batch_latencies[model.name]
             for _ in range(self.batch_sizes[partition])
         ]
         completed = sum(completed_jobs.values())
-        served = completed + fault_counts["failed"]
+        served = completed + loop.failed
         metrics = single_class_metrics(
             horizon_ms,
             completed=completed,
             released=served,
             admitted=served,
-            failed=fault_counts["failed"],
-            launch_retries=fault_counts["retries"],
+            failed=loop.failed,
+            launch_retries=loop.retries,
             response_times=response_times,
             per_task_completed=completed_jobs,
             fault_impact=FaultImpact.from_summary(injector.summary()),
         )
+        simulator.drop_pending()
+        platform.engine.drop_callbacks()
         return GSliceResult(metrics=metrics, per_model_jps=per_model)

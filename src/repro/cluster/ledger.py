@@ -21,9 +21,9 @@ so the ledger *defines* the three ``ClusterConfig.router`` policies:
   pairs: float addition is monotone, so the feasible members are a prefix
   of the ordering, and a binary search that evaluates the *identical* float
   expression finds its end bit-exactly.
-* ``round_robin`` — load-blind rotation.  One cursor per run counts
+* ``round_robin`` — load-blind rotation.  One counter per run counts
   dispatches (not device positions) and indexes the group's members at
-  ``cursor mod len(members)``: when the members shrink (a device degrades,
+  ``count mod len(members)``: when the members shrink (a device degrades,
   or migration moves a model onto one device) traffic stays uniform over the
   current members instead of resuming where a vanished device left off, and
   when they grow back the rotation re-covers every device within one lap.
@@ -40,6 +40,9 @@ The migration trigger rides the same ledger: each group counts its devices
 (``below_backlog``), updated only when a depth delta crosses the threshold,
 so the sustained-backlog window check is one integer compare.
 
+A group holds the ledger's arrays and its dispatch counter, not the ledger
+itself, so the ledger and its groups form no reference cycle.
+
 The reference scans these structures replace — ``min``/``max`` over
 freshly built :class:`~repro.cluster.server.GpuLoadView` tuples — live in
 ``tests/test_perf_equivalence.py``, which checks every pick of the golden
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 #: Slack of the deadline-feasibility test.
@@ -68,7 +72,12 @@ class DeviceGroup:
     """
 
     __slots__ = (
-        "ledger",
+        "outstanding_ms",
+        "alive",
+        "backlog",
+        "track_load",
+        "track_order",
+        "rotation",
         "devices",
         "members",
         "_member_set",
@@ -78,12 +87,16 @@ class DeviceGroup:
     )
 
     def __init__(self, ledger: "DispatchLedger", devices: Tuple[int, ...]):
-        self.ledger = ledger
+        self.outstanding_ms = ledger.outstanding_ms
+        self.alive = ledger.alive
+        self.backlog = backlog = ledger.backlog
+        self.track_load = ledger.track_load
+        self.track_order = ledger.track_order
+        self.rotation = ledger.rotation
         self.devices = devices
         self.heap: Optional[List[Tuple[float, int]]] = None
         self.pairs: Optional[List[Tuple[float, int]]] = None
         self.reindex()
-        backlog = ledger.backlog
         if backlog:
             depth = ledger.queue_depth
             self.below_backlog = sum(1 for g in devices if depth[g] < backlog)
@@ -95,7 +108,7 @@ class DeviceGroup:
     def least_loaded(self, now: float, deadline: float, predicted_ms: float) -> int:
         """The least-loaded member (the request itself is not consulted)."""
         heap = self.heap
-        outstanding = self.ledger.outstanding_ms
+        outstanding = self.outstanding_ms
         while True:
             value, gpu = heap[0]
             if value == outstanding[gpu]:
@@ -123,25 +136,21 @@ class DeviceGroup:
         return pairs[lo][1]
 
     def round_robin(self, now: float, deadline: float, predicted_ms: float) -> int:
-        """The member at the run's dispatch cursor (load-blind)."""
-        ledger = self.ledger
+        """The member at the run's dispatch count (load-blind)."""
         members = self.members
-        choice = members[ledger.cursor % len(members)]
-        ledger.cursor += 1
-        return choice
+        return members[next(self.rotation) % len(members)]
 
     # ---------------------------------------------------------- invalidation
 
     def reindex(self) -> None:
         """Recompute the members and rebuild the load index over them."""
-        ledger = self.ledger
-        alive = ledger.alive
+        alive = self.alive
         self.members = tuple(g for g in self.devices if alive[g]) or self.devices
         self._member_set = frozenset(self.members)
-        outstanding = ledger.outstanding_ms
-        if ledger.track_order:
+        outstanding = self.outstanding_ms
+        if self.track_order:
             self.pairs = sorted((outstanding[g], g) for g in self.members)
-        elif ledger.track_load:
+        elif self.track_load:
             self.heap = [(outstanding[g], g) for g in self.members]
             heapq.heapify(self.heap)
 
@@ -159,7 +168,7 @@ class DeviceGroup:
                 self.reindex()  # compaction: drop the stale entries
 
     def depth_changed(self, old: int, new: int) -> None:
-        backlog = self.ledger.backlog
+        backlog = self.backlog
         if old < backlog <= new:
             self.below_backlog -= 1
         elif new < backlog <= old:
@@ -184,7 +193,7 @@ class DispatchLedger:
         "outstanding_ms",
         "queue_depth",
         "alive",
-        "cursor",
+        "rotation",
         "_groups",
         "_groups_by_device",
     )
@@ -197,8 +206,9 @@ class DispatchLedger:
         self.outstanding_ms = [0.0] * num_gpus
         self.queue_depth = [0] * num_gpus
         self.alive = [True] * num_gpus
-        #: Dispatches made so far; the ``round_robin`` rotation position.
-        self.cursor = 0
+        #: Counts ``round_robin`` dispatches: the rotation position, shared
+        #: by every group of the run.
+        self.rotation = count()
         self._groups: Dict[Tuple[int, ...], DeviceGroup] = {}
         self._groups_by_device: List[List[DeviceGroup]] = [
             [] for _ in range(num_gpus)

@@ -179,13 +179,11 @@ class _GpuWorker:
         self.platform = platform
         # The worker owns its device outright and serializes requests itself
         # (one in flight, always slot (0, 0)), so stages launch straight on
-        # the engine; the platform's idle-stream bookkeeping — maintained for
-        # backends that hunt for free slots — is dead weight here and its
-        # drain callback is unhooked.  Pure plumbing removal: event times and
-        # kernel arithmetic are untouched.
+        # the engine, past the platform's idle-stream bookkeeping.  That
+        # slot's idle flag is never cleared, so a drained stream costs the
+        # engine one flag test.
         self._engine = platform.engine
         self._stream = platform.stream(0, 0)
-        self._engine.stream_idle_callback = None
         self.injector = injector
         self.policy = policy
         self.timeout_ms = timeout_ms
@@ -466,6 +464,11 @@ class ClusterServer:
         candidate devices (the model's group members) as they stood before
         the request was enqueued — the hook the routing tests use to re-check
         each pick.  Observing does not change the routing.
+
+        Once the metrics are merged, the run drops its pending events and
+        the callbacks of the stages still in flight, so reference counting
+        frees the whole run when this returns; ``indexed_engagements``
+        stays readable.
         """
         if horizon_ms <= 0:
             raise ValueError("horizon must be positive")
@@ -633,7 +636,7 @@ class ClusterServer:
 
         breakdown = tuple(worker.telemetry() for worker in workers)
         utilization = left_sum(gpu.utilization for gpu in breakdown) / len(breakdown)
-        return ScenarioMetrics.from_priority_metrics(
+        metrics = ScenarioMetrics.from_priority_metrics(
             horizon_ms,
             high=per_priority[Priority.HIGH],
             low=per_priority[Priority.LOW],
@@ -642,3 +645,7 @@ class ClusterServer:
             fault_impact=_merged_impact(faults.active, device_injectors),
             gpu_breakdown=breakdown,
         )
+        simulator.drop_pending()
+        for worker in workers:
+            worker.platform.engine.drop_callbacks()
+        return metrics

@@ -125,9 +125,11 @@ class GpuEngine:
         # Every replan bumps it, so outstanding completion callbacks from
         # older plans fire as no-ops instead of being cancelled.
         self._completion_gen = 0
-        # Invoked as ``callback(context_id, stream_id)`` whenever a stream
-        # drains to empty; the platform uses it for O(1) idle-stream tracking.
-        self.stream_idle_callback: Optional[Callable[[int, int], None]] = None
+        # Idle-stream tables handed over by the owning platform (see
+        # track_idle_streams).  Plain data rather than a callback into the
+        # platform, so the engine holds no reference back to its owner.
+        self._idle_flags: Optional[List[List[bool]]] = None
+        self._idle_heaps: Optional[List[List[int]]] = None
         # Fault injection: global rate multiplier applied while a slowdown
         # (thermal-throttle) window is open.  Exactly 1.0 outside windows, in
         # which case no rate expression is touched — fault-free runs execute
@@ -150,6 +152,28 @@ class GpuEngine:
         stream = context.create_stream()
         self._streams[context.context_id][stream.stream_id] = stream
         return stream
+
+    def track_idle_streams(self, flags: List[List[bool]], heaps: List[List[int]]) -> None:
+        """Mark each stream that drains idle in ``flags`` and ``heaps``.
+
+        Both are indexed by context id, then stream id, and cover every
+        context of the engine: a drained stream's flag is set and, if it
+        was clear, the stream id is pushed on its context's min-heap.
+        """
+        self._idle_flags = flags
+        self._idle_heaps = heaps
+
+    def drop_callbacks(self) -> None:
+        """Forget the completion callback of every kernel still queued or running.
+
+        A serving loop's callbacks lead back to the loop, which holds the
+        engine, so a run that ends with kernels in flight is a reference
+        cycle until its owner calls this.  The kernels and every counter
+        stay readable.
+        """
+        for streams in self._streams.values():
+            for stream in streams.values():
+                stream.drop_callbacks()
 
     @property
     def contexts(self) -> List[Context]:
@@ -755,7 +779,7 @@ class GpuEngine:
         if not finished:
             self._replan()
             return
-        notify_idle = self.stream_idle_callback
+        idle_flags = self._idle_flags
         for kernel in finished:
             del self._running[kernel.uid]
             context_id = kernel.context_id
@@ -776,8 +800,12 @@ class GpuEngine:
             next_kernel = stream.head
             if next_kernel is not None:
                 self._begin_dispatch(next_kernel)
-            elif notify_idle is not None:
-                notify_idle(context_id, kernel.stream_id)
+            elif idle_flags is not None:
+                flags = idle_flags[context_id]
+                stream_id = kernel.stream_id
+                if not flags[stream_id]:
+                    flags[stream_id] = True
+                    heappush(self._idle_heaps[context_id], stream_id)
         if self._running:
             self._replan()
         else:

@@ -95,26 +95,18 @@ class GpuPlatform:
             self._streams.append(streams)
         # O(1) idle-stream tracking: per context, a min-heap of idle stream
         # indices (so the lowest idle index is returned, matching a linear
-        # scan) plus a validity bitmap for lazy deletion.  The engine reports
-        # drained streams through ``stream_idle_callback``; ``launch`` marks
-        # streams busy.
+        # scan) plus a validity bitmap for lazy deletion.  ``launch`` marks
+        # streams busy; the engine marks a drained stream idle in the same
+        # two tables, which it is handed as data, so it keeps no reference
+        # to the platform that owns it.  Context and stream ids coincide
+        # with platform indices by construction.
         self._idle_heaps: List[List[int]] = [
             list(range(config.streams_per_context)) for _ in self._contexts
         ]
         self._idle_flags: List[List[bool]] = [
             [True] * config.streams_per_context for _ in self._contexts
         ]
-        self.engine.stream_idle_callback = self._on_stream_idle
-
-    def _on_stream_idle(self, context_id: int, stream_id: int) -> None:
-        """Engine callback: a stream drained to empty."""
-        # Context/stream ids coincide with platform indices by construction;
-        # ignore contexts created on the shared engine outside this platform.
-        if context_id >= len(self._idle_flags):
-            return
-        if not self._idle_flags[context_id][stream_id]:
-            self._idle_flags[context_id][stream_id] = True
-            heapq.heappush(self._idle_heaps[context_id], stream_id)
+        self.engine.track_idle_streams(self._idle_flags, self._idle_heaps)
 
     # ----------------------------------------------------------------- layout
 
@@ -182,7 +174,10 @@ class GpuPlatform:
 
     def release_stream(self, context_index: int, stream_index: int) -> None:
         """Return a reserved-but-unused stream to the idle pool."""
-        self._on_stream_idle(context_index, stream_index)
+        flags = self._idle_flags[context_index]
+        if not flags[stream_index]:
+            flags[stream_index] = True
+            heapq.heappush(self._idle_heaps[context_index], stream_index)
 
     # ---------------------------------------------------------------- metrics
 

@@ -36,6 +36,11 @@ class Stream:
         self._queue.append(kernel)
         return len(self._queue) == 1
 
+    def drop_callbacks(self) -> None:
+        """Forget the completion callback of every enqueued kernel."""
+        for kernel in self._queue:
+            kernel.on_complete = None
+
     def pop_head(self) -> KernelInstance:
         """Remove and return the head kernel (after it completed)."""
         if not self._queue:

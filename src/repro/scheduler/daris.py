@@ -153,14 +153,30 @@ class DarisScheduler:
             )
 
     def run(self, horizon_ms: float) -> ScenarioMetrics:
-        """Run the scenario and return the summary metrics."""
+        """Run the scenario to ``horizon_ms`` and return the summary metrics.
+
+        Once the metrics are summarized, the run ends: the simulator drops
+        its pending events (:meth:`~repro.sim.simulator.Simulator.drop_pending`),
+        kernels still in flight drop their callbacks and jobs still in
+        flight give up their stage lists.  Reference counting then frees
+        the scheduler, its simulator and its engine as soon as the caller
+        lets go of them.  Counters stay readable.  To go on simulating past
+        the horizon, call :meth:`start` and the simulator's ``run_until``
+        instead.
+        """
         self.start(horizon_ms)
         self.simulator.run_until(horizon_ms)
-        return self.metrics.summarize(
+        metrics = self.metrics.summarize(
             horizon_ms,
             gpu_utilization=self.platform.average_utilization(),
             fault_impact=FaultImpact.from_summary(self.injector.summary()),
         )
+        self.simulator.drop_pending()
+        self.platform.engine.drop_callbacks()
+        for jobs in self._active_jobs:
+            for job in jobs.values():
+                job.stages = ()  # the cycle Job.end cuts for ended jobs
+        return metrics
 
     # -------------------------------------------------------------- releases
 

@@ -22,6 +22,13 @@ hottest allocation sites of a scenario run.  Keys draw sequence numbers from
 the shared event counter, so the deterministic total order is unchanged.
 A series keeps only its next entry in the heap, so a run's release streams
 cost one heap entry each, whatever the horizon.
+
+Pending entries hold callbacks into the components of a run (its scheduler,
+GPU engine and fault injector), and each of those holds the simulator, so a
+run that ends with events still pending is a reference cycle.  The run's
+owner therefore calls :meth:`Simulator.drop_pending` once it has summarized
+the run: the clock and the counters stay readable, and reference counting
+frees the rest.
 """
 
 from __future__ import annotations
@@ -200,6 +207,20 @@ class Simulator:
     def stop(self) -> None:
         """Request the run loop to stop after the current event."""
         self._stopped = True
+
+    def drop_pending(self) -> None:
+        """Drop every pending event without firing it.
+
+        The clock, :attr:`events_fired` and :attr:`compactions` are kept.
+        A handle of a dropped event may still be cancelled, which changes
+        nothing.
+        """
+        heap = self._heap
+        for _, payload in heap:
+            if type(payload) is Event:
+                payload.in_heap = False
+        heap.clear()  # in place: the GPU engine holds the same list
+        self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------- compaction
 

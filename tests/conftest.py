@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
+from leaks import unreachable_after_run
 from repro.dnn.zoo import build_inceptionv3, build_resnet18, build_resnet50, build_unet
 
 
@@ -41,31 +40,8 @@ def all_models(resnet18, resnet50, unet, inceptionv3):
 
 @pytest.fixture
 def unreachable_after():
-    """Run a callable with the cyclic collector paused; report what it left behind.
-
-    Returns a function of ``run`` that gives ``(run's result, objects)``,
-    where ``objects`` are those a collection right after the run finds
-    unreachable.  With the collector paused, everything the run let go of
-    that reference counting could not free is still there to be found.
-    """
-
-    def measure(run):
-        gc.collect()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            result = run()
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            gc.collect()
-            found = list(gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            if enabled:
-                gc.enable()
-        return result, found
-
-    return measure
+    """:func:`unreachable_after_run`, as a fixture."""
+    return unreachable_after_run
 
 
 @pytest.fixture

@@ -178,12 +178,6 @@ def test_rtgpu_has_no_priority_differentiation(resnet18):
     assert hp_resp == pytest.approx(lp_resp, rel=0.5)
 
 
-#: What one batch in flight at the horizon can hold: its ``BatchRun``, the
-#: bound kernel callback, the finishing ``partial`` and its arguments, the
-#: running kernel and that kernel's pending event.
-IN_FLIGHT_BATCH_OBJECTS = 16
-
-
 @pytest.mark.parametrize(
     "scheduler, partitions, rate_driven",
     [
@@ -211,12 +205,15 @@ def test_closed_loops_leave_no_garbage_per_batch(
         "gslice": GSliceConfig(),
         "batching_server": BatchingConfig(batch_size=8),
     }[scheduler]
+    # Outside the measured runs: the registry's first lookup imports every
+    # backend module, which leaves one-time cyclic garbage.
+    backend = get_backend(scheduler)
 
     def unreachable(horizon: float):
         request = ScenarioRequest(
             taskset, config, horizon, scheduler=scheduler, workload=workload, faults=faults
         )
-        result, found = unreachable_after(lambda: get_backend(scheduler).execute(request))
+        result, found = unreachable_after(lambda: backend.execute(request))
         return result.metrics, len(found)
 
     _, short = unreachable(HORIZON)
@@ -224,4 +221,4 @@ def test_closed_loops_leave_no_garbage_per_batch(
     assert metrics.total_completed > 0
     if rate_driven:
         assert metrics.low.dropped and metrics.low.timed_out and metrics.low.failed
-    assert long - short <= IN_FLIGHT_BATCH_OBJECTS * partitions
+    assert (short, long) == (0, 0)

@@ -197,3 +197,33 @@ def test_busy_time_tracks_active_periods():
     engine.launch(stream, KernelSpec("k", work=68.0, parallelism=68.0))
     simulator.run_until(5.0)
     assert engine.busy_time() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_drained_streams_are_marked_in_the_handed_idle_tables():
+    simulator, engine = _engine()
+    context = engine.create_context(68)
+    streams = [engine.create_stream(context) for _ in range(2)]
+    flags, heaps = [[False, True]], [[]]
+    engine.track_idle_streams(flags, heaps)
+    engine.launch(streams[0], KernelSpec("k", work=34.0, parallelism=34.0))
+    simulator.run_until(10.0)
+    assert flags == [[True, True]]
+    assert heaps == [[0]]
+
+
+def test_drop_callbacks_forgets_the_callbacks_of_kernels_in_flight():
+    simulator, engine = _engine()
+    context = engine.create_context(68)
+    stream = engine.create_stream(context)
+    done = []
+    kernels = [
+        engine.launch(stream, KernelSpec(name, work=68.0, parallelism=68.0), done.append)
+        for name in ("a", "b", "c")
+    ]
+    simulator.run_until(1.5)
+    engine.drop_callbacks()
+    assert [kernel.on_complete is None for kernel in kernels] == [False, True, True]
+    assert [kernel.state for kernel in kernels[1:]] == [KernelState.RUNNING, KernelState.QUEUED]
+    simulator.run_until(10.0)
+    assert [kernel.spec.name for kernel in done] == ["a"]
+    assert engine.completed_kernels == 3

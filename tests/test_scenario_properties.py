@@ -13,7 +13,9 @@ what holds on every backend today:
 * in each priority bucket, ``missed <= completed`` and no job is in flight
   a negative number of times;
 * on ``cluster`` runs, the GPUs routed every released request that was not
-  dropped.
+  dropped;
+* a finished run leaves nothing for the cyclic collector: reference
+  counting frees all of it.
 
 Released-job conservation is not asserted: the request servers and the
 cluster's per-GPU loops do not yet account for work still queued at the
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import json
 import tempfile
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
+from leaks import unreachable_after_run
 
 from repro.backends import backend_names, get_backend
 from repro.backends.base import BackendRequestError
@@ -118,6 +122,10 @@ def _json(result) -> str:
 )
 @example(request=_request("daris", "periodic", "storm", "resnet18", 1.0, 700.0, 5, with_trace=True))
 @example(request=_request("batching_server", "bursty", "crashy", "unet", 1.0, 900.0, 7))
+@example(request=_request("rtgpu", "poisson", "flaky-launch", "resnet18", 1.5, 600.0, 11))
+@example(request=_request("clockwork", "bursty", "lossy", "resnet50", 1.5, 600.0, 13))
+@example(request=_request("gslice", "saturated", "crashy", "resnet18", 1.0, 600.0, 17))
+@example(request=_request("single", "saturated", "throttle", "unet", 1.0, 600.0, 19))
 def test_every_drawn_request_is_rejected_cleanly_or_keeps_its_invariants(request):
     backend = get_backend(request.scheduler)
     try:
@@ -125,7 +133,9 @@ def test_every_drawn_request_is_rejected_cleanly_or_keeps_its_invariants(request
     except BackendRequestError:
         return
     result = backend.execute(request)
-    assert _json(backend.execute(request)) == _json(result)
+    again, unreachable = unreachable_after_run(lambda: backend.execute(request))
+    assert not unreachable, Counter(type(obj).__name__ for obj in unreachable).most_common(5)
+    assert _json(again) == _json(result)
 
     with tempfile.TemporaryDirectory() as directory:
         cache = ResultCache(directory)

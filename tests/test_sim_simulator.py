@@ -278,3 +278,20 @@ def test_schedule_series_of_no_times_schedules_nothing():
     assert sim.pending_events == 0
     sim.run_until(1.0)
     assert sim.events_fired == 0
+
+
+def test_drop_pending_forgets_every_event_and_keeps_the_clock_and_counters():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(1.0, lambda s: seen.append("one-off"))
+    handle = sim.schedule_at(8.0, lambda s: seen.append("late"))
+    sim.schedule_series([2.0, 6.0, 9.0], -1, lambda s, index: seen.append(index))
+    sim.run_until(5.0)
+    sim.drop_pending()
+    assert sim.pending_events == sim.live_events == 0
+    assert (sim.now, sim.events_fired) == (5.0, 2)
+    handle.cancel()
+    assert sim.live_events == 0
+    sim.run_until(20.0)
+    assert seen == ["one-off", 0]
+    assert (sim.now, sim.events_fired) == (20.0, 2)
